@@ -10,14 +10,16 @@
 //     loops, so per-connection state needs no locks). Loop 0 owns the
 //     listening socket and hands accepted connections out round-robin
 //     via per-loop eventfd-signalled inboxes.
-//   * Per connection: a read buffer fed by non-blocking reads, a
-//     decoded-request inbox (the *bounded per-connection queue*, cap
-//     `max_inflight`), and a write buffer flushed opportunistically and
-//     then by EPOLLOUT.
+//   * Per connection: a read buffer fed by non-blocking reads (a read
+//     pass stops at the first short read; level-triggered epoll reports
+//     later bytes and EOF), a decoded-request inbox (the *bounded
+//     per-connection queue*, cap `max_inflight`, refilled from the read
+//     buffer whenever it has room), and a write buffer flushed
+//     opportunistically and then by EPOLLOUT.
 //   * Request coalescing: the inbox is drained in maximal runs of
 //     same-opcode point requests (get/get/get...), and each run is
-//     executed through the set's contains_batch / insert_batch /
-//     erase_batch — one counting sort in shard::sharded_set amortizes
+//     executed through one contains_batch / insert_batch / erase_batch
+//     call, so the set's per-call work (router load, op gate) amortizes
 //     across the whole pipelined run. Responses are emitted in input
 //     order (the protocol has request ids, but order is guaranteed per
 //     connection anyway).
@@ -41,10 +43,12 @@
 // clamped page plus a continuation key instead of head-of-line-blocking
 // the connection behind a multi-megabyte response.
 //
-// Observability: per-request service latency (decode → response
-// encoded) flows through an obs::latency_observer (get and range_scan
-// record as op_kind::search; a batch frame records one sample under its
-// sub-op), and the server keeps its own wire-level counters
+// Observability: per-request service latency (from the read pass that
+// admitted the request to the end of its executed run; one clock read
+// per decode pass and one per run) flows through an
+// obs::latency_observer (get and range_scan record as op_kind::search;
+// a batch frame records one sample under its sub-op), and the server
+// keeps its own wire-level counters
 // (server_stats). The tree-level attribution lives in the set itself
 // (e.g. sharded_set::merged_counters() when the inner tree records).
 #pragma once
@@ -242,8 +246,9 @@ class basic_server {
 
   [[nodiscard]] const server_stats& stats() const noexcept { return stats_; }
 
-  /// Per-request service latency (decode to response-encoded), striped
-  /// per event thread. Quiescence (join) required for merged reads.
+  /// Per-request service latency (admitting read pass to the end of the
+  /// executed run), striped per event thread. Quiescence (join)
+  /// required for merged reads.
   [[nodiscard]] obs::latency_observer& latency() noexcept {
     return latency_;
   }
@@ -261,7 +266,7 @@ class basic_server {
  private:
   struct pending_request {
     request req;
-    std::uint64_t t0_ns = 0;
+    std::uint64_t t0_ns = 0;  // the decode pass that admitted it
   };
 
   struct connection {
@@ -269,6 +274,7 @@ class basic_server {
     std::vector<std::uint8_t> rbuf;
     std::size_t rpos = 0;  // consumed prefix of rbuf
     std::deque<pending_request> inbox;
+    std::vector<std::int64_t> run_keys;  // reused by every coalesced run
     std::vector<std::uint8_t> wbuf;
     std::size_t wpos = 0;  // flushed prefix of wbuf
     std::uint32_t armed = 0;  // epoll interest currently registered
@@ -579,8 +585,11 @@ class basic_server {
     return conn.wbuf.size() - conn.wpos;
   }
 
-  /// Non-blocking read into rbuf until EAGAIN, EOF, or a full buffer's
-  /// worth. Returns false on a fatal socket error.
+  /// Non-blocking read into rbuf until a short read, EOF, or a full
+  /// buffer's worth. A short read means the socket was empty: the read
+  /// that would only return EAGAIN is skipped, since level-triggered
+  /// epoll reports later bytes and EOF on a later pass. Returns false on
+  /// a fatal socket error.
   [[nodiscard]] bool read_available(connection& conn) {
     std::uint8_t chunk[64 * 1024];
     for (;;) {
@@ -589,6 +598,7 @@ class basic_server {
         conn.rbuf.insert(conn.rbuf.end(), chunk, chunk + n);
         stats_.bytes_in.fetch_add(static_cast<std::uint64_t>(n),
                                   std::memory_order_relaxed);
+        if (static_cast<std::size_t>(n) < sizeof(chunk)) return true;
         // One frame + one max frame of lookahead bounds the buffer.
         if (conn.rbuf.size() - conn.rpos > 2 * (max_frame_bytes + 4)) {
           return true;
@@ -605,10 +615,14 @@ class basic_server {
     }
   }
 
-  /// Moves complete frames from rbuf into the inbox. Returns false on a
-  /// protocol error (a malformed NACK is queued and the connection is
-  /// marked closing).
+  /// Moves complete frames from rbuf into the inbox; the pass reads the
+  /// clock once and counts its frames once. Returns false on a protocol
+  /// error (a malformed NACK is queued and the connection is marked
+  /// closing).
   [[nodiscard]] bool decode_into_inbox(connection& conn, bool bounded) {
+    std::uint64_t admitted = 0;
+    std::uint64_t t0_ns = 0;
+    bool stream_ok = true;
     while (!bounded || conn.inbox.size() < cfg_.max_inflight) {
       request req;
       std::size_t consumed = 0;
@@ -635,15 +649,18 @@ class basic_server {
         stats_.responses_out.fetch_add(1, std::memory_order_relaxed);
         conn.closing = true;
         conn.rpos = conn.rbuf.size();
-        compact_rbuf(conn);
-        return false;
+        stream_ok = false;
+        break;
       }
       conn.rpos += consumed;
-      stats_.frames_in.fetch_add(1, std::memory_order_relaxed);
-      conn.inbox.push_back(pending_request{std::move(req), now_ns()});
+      if (admitted++ == 0) t0_ns = now_ns();
+      conn.inbox.push_back(pending_request{std::move(req), t0_ns});
+    }
+    if (admitted != 0) {
+      stats_.frames_in.fetch_add(admitted, std::memory_order_relaxed);
     }
     compact_rbuf(conn);
-    return true;
+    return stream_ok;
   }
 
   void compact_rbuf(connection& conn) {
@@ -695,53 +712,50 @@ class basic_server {
     }
   }
 
-  void finish_response(connection& conn, const response& resp,
-                       stats::op_kind kind, std::uint64_t t0_ns,
-                       bool result) {
-    encode_response(conn.wbuf, resp);
-    stats_.responses_out.fetch_add(1, std::memory_order_relaxed);
-    latency_.on_op(0, kind, result, now_ns() - t0_ns);
-  }
-
   /// A pipelined run of `run` identical point ops leaves as one batch
-  /// call — the coalescing that lets sharded_set's counting sort
-  /// amortize over the connection's whole in-flight window.
+  /// call (a point call when run == 1), its keys gathered into the
+  /// connection's reused buffer. The run's responses share one clock
+  /// read, taken once they are all encoded.
   void execute_point_run(connection& conn, opcode op, std::size_t run) {
+    bool single = false;
+    std::vector<bool> results;
     if (run == 1) {
-      const pending_request& p = conn.inbox.front();
-      response resp;
-      resp.op = op;
-      resp.id = p.req.id;
+      const std::int64_t key = conn.inbox.front().req.key;
       switch (op) {
-        case opcode::get: resp.result = set_->contains(p.req.key); break;
-        case opcode::insert: resp.result = set_->insert(p.req.key); break;
-        case opcode::erase: resp.result = set_->erase(p.req.key); break;
+        case opcode::get: single = set_->contains(key); break;
+        case opcode::insert: single = set_->insert(key); break;
+        case opcode::erase: single = set_->erase(key); break;
         default: break;
       }
-      finish_response(conn, resp, kind_of(op), p.t0_ns, resp.result);
-      conn.inbox.pop_front();
-      return;
+    } else {
+      conn.run_keys.clear();
+      for (std::size_t i = 0; i < run; ++i) {
+        conn.run_keys.push_back(conn.inbox[i].req.key);
+      }
+      switch (op) {
+        case opcode::get: results = set_->contains_batch(conn.run_keys); break;
+        case opcode::insert: results = set_->insert_batch(conn.run_keys); break;
+        case opcode::erase: results = set_->erase_batch(conn.run_keys); break;
+        default: break;
+      }
+      stats_.coalesced_groups.fetch_add(1, std::memory_order_relaxed);
+      stats_.coalesced_ops.fetch_add(run, std::memory_order_relaxed);
     }
-    std::vector<std::int64_t> keys(run);
+    const auto result_at = [&](std::size_t i) {
+      return run == 1 ? single : static_cast<bool>(results[i]);
+    };
+    response resp;
+    resp.op = op;
     for (std::size_t i = 0; i < run; ++i) {
-      keys[i] = conn.inbox[i].req.key;
+      resp.id = conn.inbox[i].req.id;
+      resp.result = result_at(i);
+      encode_response(conn.wbuf, resp);
     }
-    std::vector<bool> results;
-    switch (op) {
-      case opcode::get: results = set_->contains_batch(keys); break;
-      case opcode::insert: results = set_->insert_batch(keys); break;
-      case opcode::erase: results = set_->erase_batch(keys); break;
-      default: break;
-    }
-    stats_.coalesced_groups.fetch_add(1, std::memory_order_relaxed);
-    stats_.coalesced_ops.fetch_add(run, std::memory_order_relaxed);
+    stats_.responses_out.fetch_add(run, std::memory_order_relaxed);
+    const std::uint64_t t1_ns = now_ns();
+    const stats::op_kind kind = kind_of(op);
     for (std::size_t i = 0; i < run; ++i) {
-      const pending_request& p = conn.inbox.front();
-      response resp;
-      resp.op = op;
-      resp.id = p.req.id;
-      resp.result = results[i];
-      finish_response(conn, resp, kind_of(op), p.t0_ns, resp.result);
+      latency_.on_op(0, kind, result_at(i), t1_ns - conn.inbox.front().t0_ns);
       conn.inbox.pop_front();
     }
   }
@@ -790,7 +804,9 @@ class basic_server {
         break;
       default: break;
     }
-    finish_response(conn, resp, kind, p.t0_ns, result);
+    encode_response(conn.wbuf, resp);
+    stats_.responses_out.fetch_add(1, std::memory_order_relaxed);
+    latency_.on_op(0, kind, result, now_ns() - p.t0_ns);
   }
 
   /// Writes as much of wbuf as the socket accepts. False on fatal
@@ -814,18 +830,25 @@ class basic_server {
     return true;
   }
 
-  /// Executes queued requests for as long as the socket keeps up:
-  /// execute until the cap, flush, and if the kernel drained the buffer
-  /// below the low-water mark, go again. Exits with either an empty
-  /// inbox or bytes pending (so EPOLLOUT is armed and on_writable
-  /// continues later) — a connection can never wedge with admitted
-  /// requests and no event to finish them.
+  /// Serves buffered requests for as long as the socket keeps up: refill
+  /// the inbox from rbuf, execute until the cap, flush, and if the
+  /// kernel drained the buffer below the low-water mark, go again. Exits
+  /// with either no work left (empty inbox, no complete frame in rbuf)
+  /// or bytes pending (so EPOLLOUT is armed and on_writable continues
+  /// later) — a connection can never wedge with received requests and
+  /// no event to finish them. A protocol error queues its NACK, marks
+  /// the connection closing and empties rbuf, so the pump just flushes.
   [[nodiscard]] bool pump_inbox(connection& conn) {
     for (;;) {
+      // A drained connection's buffered frames were NACKed already.
+      if (!conn.drained) (void)decode_into_inbox(conn, /*bounded=*/true);
+      // A full inbox means decoding stopped at the cap, not at the end
+      // of the buffered frames.
+      const bool more_buffered = conn.inbox.size() >= cfg_.max_inflight;
       execute_inbox(conn, /*respect_cap=*/!(conn.eof || conn.drained));
       if (!flush_writes(conn)) return false;
-      if (conn.inbox.empty() ||
-          write_bytes(conn) > cfg_.write_buffer_resume) {
+      if (write_bytes(conn) > cfg_.write_buffer_resume ||
+          (conn.inbox.empty() && !more_buffered)) {
         return true;
       }
     }
@@ -834,9 +857,6 @@ class basic_server {
   [[nodiscard]] bool on_readable(connection& conn) {
     if (conn.closing || conn.drained) return true;  // no longer reading
     if (!read_available(conn)) return false;
-    if (!decode_into_inbox(conn, /*bounded=*/true)) {
-      // Protocol error: the NACK is queued; fall through to flush it.
-    }
     if (!pump_inbox(conn)) return false;
     if (conn.eof) {
       conn.closing = true;
@@ -847,11 +867,11 @@ class basic_server {
 
   [[nodiscard]] bool on_writable(connection& conn) {
     if (!flush_writes(conn)) return false;
-    // Flushed below the low-water mark: resume executing queued work
-    // (and, via update_interest, resume reading).
+    // Flushed below the low-water mark: resume serving queued and
+    // buffered work (and, via update_interest, resume reading).
     if (write_bytes(conn) <= cfg_.write_buffer_resume &&
-        !conn.inbox.empty()) {
-      if (!pump_inbox(conn)) return false;
+        !pump_inbox(conn)) {
+      return false;
     }
     if (conn.closing && write_bytes(conn) == 0 && conn.inbox.empty()) {
       return false;

@@ -23,10 +23,10 @@
 // are schedulable too.
 //
 // Batched operations (insert_batch / erase_batch / contains_batch)
-// take a vector of keys, group them by shard with one stable counting
-// sort, and execute each shard's group consecutively — the router and
-// each shard's upper tree levels are touched once per group instead of
-// once per key. Results come back in input order. A batch is NOT
+// take a vector of keys and apply them in input order, each routed to
+// its shard, under one router snapshot (and, once rebalancing is armed,
+// one op-gate entry and one migration snapshot) for the whole batch.
+// Results come back in input order. A batch is NOT
 // atomic: each element is its own linearizable operation whose
 // linearization point lies somewhere inside the batch call (the
 // per-element guarantee the lincheck and dsched suites pin down).
@@ -245,13 +245,14 @@ class sharded_set {
   }
 
   // --- batched operations -------------------------------------------
-  // One stable counting sort groups the keys by shard id; each group
-  // runs back-to-back so router and per-shard cache traffic amortize
-  // over the group. results[i] is what op(keys[i]) would have returned;
-  // same-shard elements apply in input order. The whole batch runs
-  // under one gate entry and one migration-record snapshot: the gate
-  // blocks a migration's quiescence waits while the batch is inside,
-  // so the snapshot stays valid for every element.
+  // Keys apply in input order, each routed on its own, and only the
+  // results vector is allocated: results[i] is what op(keys[i]) would
+  // have returned. The whole batch runs under one gate entry and one
+  // migration-record snapshot: the gate blocks a migration's quiescence
+  // waits while the batch is inside, so the snapshot stays valid for
+  // every element. Keys are not grouped by shard first: on the
+  // server's runs of a few keys a counting sort cost more than it saved
+  // (docs/PERF.md §9).
 
   [[nodiscard]] std::vector<bool> contains_batch(
       const std::vector<key_type>& keys) const {
@@ -937,7 +938,6 @@ class sharded_set {
                                        const std::vector<key_type>& keys,
                                        Op&& op) {
     const std::size_t n = keys.size();
-    const std::size_t nshards = self.shards_.size();
     std::vector<bool> results(n);
     if (n == 0) return results;
 
@@ -949,34 +949,9 @@ class sharded_set {
       dual = self.read_migration(rec);
     }
     const Router& r = self.current_router();
-
-    // Stable counting sort of key indices by shard id.
-    std::vector<std::uint32_t> shard_ids(n);
-    std::vector<std::size_t> group_start(nshards + 1, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t s = r.shard_of(keys[i]);
-      shard_ids[i] = static_cast<std::uint32_t>(s);
-      ++group_start[s + 1];
-    }
-    for (std::size_t s = 0; s < nshards; ++s) {
-      group_start[s + 1] += group_start[s];
-    }
-    std::vector<std::uint32_t> order(n);
-    {
-      std::vector<std::size_t> cursor(group_start.begin(),
-                                      group_start.end() - 1);
-      for (std::size_t i = 0; i < n; ++i) {
-        order[cursor[shard_ids[i]]++] = static_cast<std::uint32_t>(i);
-      }
-    }
-
-    // Execute per shard group; results land at the original positions.
     const migration* rec_ptr = dual ? &rec : nullptr;
-    for (std::size_t s = 0; s < nshards; ++s) {
-      for (std::size_t j = group_start[s]; j < group_start[s + 1]; ++j) {
-        const std::uint32_t i = order[j];
-        results[i] = op(self, rec_ptr, s, keys[i]);
-      }
+    for (std::size_t i = 0; i < n; ++i) {
+      results[i] = op(self, rec_ptr, r.shard_of(keys[i]), keys[i]);
     }
     return results;
   }

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 
 #include <atomic>
@@ -348,6 +349,103 @@ TEST(ServerFault, DrainOnAnIdleServerTerminatesPromptly) {
   server.begin_drain();
   ASSERT_TRUE(join_within(server, 5'000));
   EXPECT_EQ(server.stats().connections_accepted.load(), 0u);
+}
+
+/// `n` get frames with ids 0..n-1, encoded back to back.
+std::vector<std::uint8_t> pipelined_gets(int n) {
+  std::vector<std::uint8_t> bytes;
+  for (int i = 0; i < n; ++i) {
+    request req;
+    req.op = opcode::get;
+    req.id = static_cast<std::uint64_t>(i);
+    req.key = i;
+    encode_request(bytes, req);
+  }
+  return bytes;
+}
+
+/// Reads `n` responses and checks they answer ids 0..n-1 in order.
+void expect_answers_in_order(client& c, int n) {
+  for (int i = 0; i < n; ++i) {
+    response resp;
+    ASSERT_TRUE(c.recv_response(resp)) << "response " << i << " of " << n;
+    ASSERT_EQ(resp.id, static_cast<std::uint64_t>(i));
+    ASSERT_EQ(resp.op, opcode::get);
+    ASSERT_EQ(resp.status, status_code::ok);
+  }
+}
+
+TEST(ServerFault, PipelineDeeperThanMaxInflightIsFullyAnswered) {
+  // Frames past the inflight cap wait in the read buffer; they must be
+  // decoded as the inbox empties, not only when more bytes arrive.
+  set_type set(8, 0, kKeyRange);
+  basic_server<set_type> server(set, {.event_threads = 1, .max_inflight = 8});
+  ASSERT_TRUE(server.start());
+  client c;
+  ASSERT_TRUE(c.connect("127.0.0.1", server.port()));
+  c.set_recv_timeout_ms(2'000);
+  constexpr int kFrames = 100;
+  const std::vector<std::uint8_t> bytes = pipelined_gets(kFrames);
+  ASSERT_TRUE(c.send_raw(bytes.data(), bytes.size()));  // one write
+  expect_answers_in_order(c, kFrames);
+  c.close();
+  server.stop();
+  ASSERT_TRUE(join_within(server, 10'000));
+  EXPECT_EQ(server.stats().frames_in.load(), static_cast<unsigned>(kFrames));
+}
+
+TEST(ServerFault, HalfCloseAfterPipelineAnswersEverythingThenCloses) {
+  // The server may see the frames and the EOF in separate reads; every
+  // frame is still answered, in order, before the close.
+  set_type set(8, 0, kKeyRange);
+  basic_server<set_type> server(set, {.event_threads = 1});
+  ASSERT_TRUE(server.start());
+  client c;
+  ASSERT_TRUE(c.connect("127.0.0.1", server.port()));
+  constexpr int kFrames = 300;
+  const std::vector<std::uint8_t> bytes = pipelined_gets(kFrames);
+  ASSERT_TRUE(c.send_raw(bytes.data(), bytes.size()));
+  c.shutdown_send();
+  expect_answers_in_order(c, kFrames);
+  response extra;
+  EXPECT_FALSE(c.recv_response(extra));  // then EOF
+  ASSERT_TRUE(eventually([&] {
+    return server.stats().connections_closed.load() == 1u;
+  }));
+  server.stop();
+  ASSERT_TRUE(join_within(server, 10'000));
+  EXPECT_EQ(server.stats().responses_out.load(),
+            static_cast<unsigned>(kFrames));
+}
+
+TEST(ServerFault, FrameSplitAcrossWritesIsAnsweredOnceComplete) {
+  set_type set(8, 0, kKeyRange);
+  basic_server<set_type> server(set, {.event_threads = 1});
+  ASSERT_TRUE(server.start());
+  client c;
+  ASSERT_TRUE(c.connect("127.0.0.1", server.port()));
+  // One whole frame and the first half of a second in one write.
+  const std::vector<std::uint8_t> bytes = pipelined_gets(2);
+  const std::size_t frame = bytes.size() / 2;
+  const std::size_t cut = frame + frame / 2;
+  ASSERT_TRUE(c.send_raw(bytes.data(), cut));
+  expect_answers_in_order(c, 1);
+  // The torn frame gets no answer while it stays torn...
+  pollfd pfd{};
+  pfd.fd = c.fd();
+  pfd.events = POLLIN;
+  EXPECT_EQ(::poll(&pfd, 1, 50), 0);
+  // ...and exactly one once the rest arrives.
+  ASSERT_TRUE(c.send_raw(bytes.data() + cut, bytes.size() - cut));
+  response resp;
+  ASSERT_TRUE(c.recv_response(resp));
+  EXPECT_EQ(resp.id, 1u);
+  EXPECT_EQ(resp.status, status_code::ok);
+  EXPECT_EQ(::poll(&pfd, 1, 50), 0);
+  c.close();
+  server.stop();
+  ASSERT_TRUE(join_within(server, 10'000));
+  EXPECT_EQ(server.stats().frames_in.load(), 2u);
 }
 
 }  // namespace

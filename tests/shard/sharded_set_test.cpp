@@ -188,6 +188,29 @@ TEST(ShardedSet, DuplicateKeysInOneBatchApplyInInputOrder) {
   EXPECT_EQ(erased, (std::vector<bool>{true, false}));
 }
 
+TEST(ShardedSet, AlternatingRepeatsAcrossShardsMatchSequentialApplication) {
+  // 5 and 40 live in different shards; each repeat must see the effect
+  // of the earlier same-key element, exactly as point calls would.
+  sharded_set<nm_tree<long>> set(4, 0, 64);
+  sharded_set<nm_tree<long>> sequential(4, 0, 64);
+  ASSERT_NE(set.router().shard_of(5), set.router().shard_of(40));
+  const std::vector<long> keys{5, 40, 5, 40, 5};
+  const auto apply = [&](auto point_op) {
+    std::vector<bool> want;
+    for (const long k : keys) want.push_back(point_op(k));
+    return want;
+  };
+  const std::vector<bool> inserted = set.insert_batch(keys);
+  EXPECT_EQ(inserted, apply([&](long k) { return sequential.insert(k); }));
+  EXPECT_EQ(inserted, (std::vector<bool>{true, true, false, false, false}));
+  EXPECT_EQ(set.contains_batch(keys), std::vector<bool>(5, true));
+  const std::vector<bool> erased = set.erase_batch(keys);
+  EXPECT_EQ(erased, apply([&](long k) { return sequential.erase(k); }));
+  EXPECT_EQ(erased, (std::vector<bool>{true, true, false, false, false}));
+  EXPECT_EQ(set.contains_batch(keys), std::vector<bool>(5, false));
+  EXPECT_EQ(set.size_slow(), 0u);
+}
+
 TEST(ShardedSet, MixedBatchResultsLandAtOriginalPositions) {
   sharded_set<nm_tree<long>> set(8, 0, 1024);
   std::set<long> oracle;
