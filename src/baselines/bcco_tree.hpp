@@ -265,6 +265,12 @@ class bcco_tree {
         }
         continue;
       }
+      // Hand-over-hand validation: n unchanged after c_ovl was read means
+      // that, at that instant, the key was in n's range and child was
+      // on its path, so the recursion only has to validate child.
+      if (n->version.load(std::memory_order_acquire) != n_ovl) {
+        return tri::retry;
+      }
       const tri result = attempt_get(key, child, c_ovl);
       if (result != tri::retry) return result;
       if (n->version.load(std::memory_order_acquire) != n_ovl) {
@@ -327,6 +333,12 @@ class bcco_tree {
           return tri::retry;
         }
         continue;
+      }
+      // Same hand-over-hand step as attempt_get: without it the parent
+      // can shrink between its last check and the c_ovl read, and the
+      // update lands in a subtree that no longer covers the key.
+      if (parent->version.load(std::memory_order_acquire) != parent_ovl) {
+        return tri::retry;
       }
       const tri result = attempt_update(key, is_insert, child, c_ovl);
       if (result != tri::retry) return result;

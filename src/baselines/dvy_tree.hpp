@@ -116,26 +116,23 @@ class dvy_tree {
       fresh->succ.store(succ, std::memory_order_relaxed);
 
       // Tree attachment: with list == tree membership, exactly one of
-      // pred.right / succ.left is free inside a locked window.
-      node* parent;
-      bool as_left_child;
-      if (pred->right.load(std::memory_order_acquire) == nullptr) {
-        parent = pred;
-        as_left_child = false;
+      // pred.right / succ.left is free inside a locked window. The locked
+      // window freezes succ.left, but not pred.right: removing pred's list
+      // predecessor relocates pred and hands it a right subtree. So the
+      // choice is made under pred's tree lock; once pred.right is taken
+      // it holds succ, and succ.left is the free slot.
+      pred->tree_lock.lock();
+      if (pred->right.load(std::memory_order_relaxed) == nullptr) {
+        fresh->parent.store(pred, std::memory_order_relaxed);
+        pred->right.store(fresh, std::memory_order_release);
+        pred->tree_lock.unlock();
       } else {
-        parent = succ;
-        as_left_child = true;
-        LFBST_ASSERT(succ->left.load(std::memory_order_acquire) == nullptr,
+        pred->tree_lock.unlock();
+        std::lock_guard<spinlock> tl(succ->tree_lock);
+        LFBST_ASSERT(succ->left.load(std::memory_order_relaxed) == nullptr,
                      "insert window invariant violated");
-      }
-      {
-        std::lock_guard<spinlock> tl(parent->tree_lock);
-        fresh->parent.store(parent, std::memory_order_relaxed);
-        if (as_left_child) {
-          parent->left.store(fresh, std::memory_order_release);
-        } else {
-          parent->right.store(fresh, std::memory_order_release);
-        }
+        fresh->parent.store(succ, std::memory_order_relaxed);
+        succ->left.store(fresh, std::memory_order_release);
       }
       // Publish in the list (readers settle via these pointers).
       succ->pred.store(fresh, std::memory_order_release);

@@ -28,6 +28,7 @@
 // a parent and grandparent.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -142,11 +143,11 @@ class efrb_tree {
       if (s.parent->update.compare_exchange(
               expected, update_t(op, /*iflag=*/true, /*dflag=*/false))) {
         help_insert(op);  // completes the insert (child CAS + unflag)
+        release_info(s.pupdate.address());
         if constexpr (Reclaimer::reclaims_eagerly) {
           // The displaced leaf was replaced by its copy; only the
           // winning inserter retires it (helpers never do).
           reclaimer_.retire(s.leaf, &node_deleter, &node_pool_);
-          retire_info_later(op);
         }
         return true;
       }
@@ -179,23 +180,26 @@ class efrb_tree {
       }
       info_record* op = make_info();
       op->dinfo = {s.grandparent, s.parent, s.leaf, s.pupdate};
+      op->refs.store(2, std::memory_order_relaxed);  // grandparent + MARK
 
       update_t expected = s.gpupdate;
       stats_.on_cas();
       if (s.grandparent->update.compare_exchange(
               expected, update_t(op, /*iflag=*/false, /*dflag=*/true))) {
-        if (help_delete(op)) {
+        release_info(s.gpupdate.address());
+        const bool committed = help_delete(op);
+        // Committed: the parent's MARK reference leaves with the spliced
+        // parent. Aborted: the MARK can no longer land (the parent's word
+        // moved past `pupdate`), so its reference is dropped unused.
+        release_info(op);
+        if (committed) {
           if constexpr (Reclaimer::reclaims_eagerly) {
-            // The delete owner retires the two removed nodes and its
-            // coordination record.
+            // The delete owner retires the two removed nodes.
             reclaimer_.retire(s.parent, &node_deleter, &node_pool_);
             reclaimer_.retire(s.leaf, &node_deleter, &node_pool_);
-            retire_info_later(op);
           }
           return true;
         }
-        // Aborted (mark lost): op is permanently retired below; retry.
-        if constexpr (Reclaimer::reclaims_eagerly) retire_info_later(op);
       } else {
         stats_.on_cas_fail();
         destroy_info(op);
@@ -316,6 +320,7 @@ class efrb_tree {
       iinfo_fields iinfo;
       dinfo_fields dinfo;
     };
+    std::atomic<std::uint32_t> refs{1};  // update words holding it
     info_record() : iinfo{} {}
   };
 
@@ -378,11 +383,21 @@ class efrb_tree {
     static_cast<node_pool*>(ctx)->deallocate(obj);
   }
 
-  void retire_info_later(info_record* op) {
-    // Info records stay referenced by CLEAN update words, but are only
-    // dereferenced while the word is flagged; after the grace period no
-    // helper can still act on this record.
-    reclaimer_.retire(op, &info_deleter, &info_pool_);
+  /// Drops one update-word reference to `op`; the last one retires it.
+  /// A CLEAN word keeps the address of the record that last flagged it,
+  /// and a search that read the word may still CAS against that value.
+  /// Retiring the record when its operation ends would let the address
+  /// come back on the same word (ABA) and validate a stale CAS. So each
+  /// record is released by the CAS that moves a word off it (flag or
+  /// MARK), and a DInfo's MARK reference by the end of its delete; the
+  /// grace period then covers every thread that read the old word.
+  void release_info(info_record* op) {
+    if constexpr (Reclaimer::reclaims_eagerly) {
+      if (op != nullptr &&
+          op->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        reclaimer_.retire(op, &info_deleter, &info_pool_);
+      }
+    }
   }
 
   // --- search (Ellen et al. Search) --------------------------------------
@@ -449,6 +464,7 @@ class efrb_tree {
     const bool marked = op->dinfo.parent->update.compare_exchange(
         expected, update_t(op, /*iflag=*/true, /*dflag=*/true));  // MARK
     if (!marked) stats_.on_cas_fail();
+    if (marked) release_info(op->dinfo.pupdate.address());
     if (marked || expected == update_t(op, true, true)) {
       help_marked(op);
       return true;
@@ -511,9 +527,9 @@ class efrb_tree {
       }
       destroy_node(n);
     }
-    // Info records that were committed are not reachable from the tree;
-    // leaky mode leaves them in the pool (freed with the slabs), epoch
-    // mode already retired them.
+    // Info records are not reachable from the tree: leaky mode leaves
+    // them in the pool, epoch mode retired the released ones, and those
+    // still held by live update words go with the pool's slabs.
   }
 
   [[no_unique_address]] sentinel_less<Key, Compare> less_{};

@@ -130,13 +130,8 @@ class hj_tree {
       stats_.on_cas();
       if (c.curr->op.compare_exchange(
               expected, op_t(cas_op, /*childcas=*/true, /*relocate=*/false))) {
+        release_op(c.curr_op.address());
         help_child_cas(cas_op, c.curr);
-        if constexpr (Reclaimer::reclaims_eagerly) {
-          // Completed records stay value-referenced by the op word but
-          // are never dereferenced once the state is NONE; the grace
-          // period covers stale helpers.
-          reclaimer_.retire(cas_op, &op_deleter, &op_pool_);
-        }
         return true;
       }
       // Never published: recycle immediately.
@@ -153,8 +148,8 @@ class hj_tree {
       find_ctx c;
       if (find(key, c, root_) != find_result::found) return false;
 
-      if (c.curr->right.load(std::memory_order_acquire) == nullptr ||
-          c.curr->left.load(std::memory_order_acquire) == nullptr) {
+      if (deref(c.curr->right.load(std::memory_order_acquire)) == nullptr ||
+          deref(c.curr->left.load(std::memory_order_acquire)) == nullptr) {
         // Node has at most one child: MARK it (the linearization point),
         // then splice it out.
         op_t expected = c.curr_op;
@@ -182,6 +177,7 @@ class hj_tree {
           continue;  // right child vanished meanwhile; retry
         }
         operation* reloc_op = make_op();
+        reloc_op->refs.store(2, std::memory_order_relaxed);  // succ + dest
         reloc_op->relocate.state.store(relocate_state::ongoing,
                                        std::memory_order_relaxed);
         reloc_op->relocate.dest = c.curr;
@@ -195,12 +191,10 @@ class hj_tree {
         if (sc.curr->op.compare_exchange(
                 expected,
                 op_t(reloc_op, /*childcas=*/false, /*relocate=*/true))) {
-          const bool done =
-              help_relocate(reloc_op, sc.pred, sc.pred_op, sc.curr);
-          if constexpr (Reclaimer::reclaims_eagerly) {
-            reclaimer_.retire(reloc_op, &op_deleter, &op_pool_);
+          release_op(sc.curr_op.address());
+          if (help_relocate(reloc_op, sc.pred, sc.pred_op, sc.curr)) {
+            return true;
           }
-          if (done) return true;
         } else {
           stats_.on_cas_fail();
           destroy_op(reloc_op);  // never published
@@ -224,24 +218,24 @@ class hj_tree {
   template <typename F>
   void for_each_slow(F&& fn) const {
     std::vector<const node*> spine;
-    const node* n = root_->right.load(std::memory_order_relaxed);
+    const node* n = deref(root_->right.load(std::memory_order_relaxed));
     while (n != nullptr || !spine.empty()) {
       while (n != nullptr) {
         spine.push_back(n);
-        n = n->left.load(std::memory_order_relaxed);
+        n = deref(n->left.load(std::memory_order_relaxed));
       }
       const node* top = spine.back();
       spine.pop_back();
       if (!is_marked(top->op.load(std::memory_order_relaxed))) {
         fn(top->key.load(std::memory_order_relaxed));
       }
-      n = top->right.load(std::memory_order_relaxed);
+      n = deref(top->right.load(std::memory_order_relaxed));
     }
   }
 
   [[nodiscard]] std::string validate() const {
     std::string err;
-    if (root_->left.load(std::memory_order_relaxed) != nullptr) {
+    if (deref(root_->left.load(std::memory_order_relaxed)) != nullptr) {
       err += "root sentinel grew a left child; ";
     }
     struct frame {
@@ -249,7 +243,7 @@ class hj_tree {
       bool has_low = false, has_high = false;
       Key low{}, high{};  // exclusive bounds, by value (keys are cheap)
     };
-    const node* top = root_->right.load(std::memory_order_relaxed);
+    const node* top = deref(root_->right.load(std::memory_order_relaxed));
     if (top == nullptr) return err;
     std::vector<frame> stack{frame{top}};
     while (!stack.empty()) {
@@ -258,8 +252,8 @@ class hj_tree {
       const Key k = f.n->key.load(std::memory_order_relaxed);
       if (f.has_low && !less_(f.low, k)) err += "key <= low bound; ";
       if (f.has_high && !less_(k, f.high)) err += "key >= high bound; ";
-      const node* l = f.n->left.load(std::memory_order_relaxed);
-      const node* r = f.n->right.load(std::memory_order_relaxed);
+      const node* l = deref(f.n->left.load(std::memory_order_relaxed));
+      const node* r = deref(f.n->right.load(std::memory_order_relaxed));
       if (l != nullptr) {
         frame child{l, f.has_low, true, f.low, k};
         stack.push_back(child);
@@ -317,6 +311,7 @@ class hj_tree {
   struct operation {
     child_cas_fields child_cas{};
     relocate_fields relocate{};
+    std::atomic<std::uint32_t> refs{1};  // op words holding it
   };
 
   enum class find_result { found, not_found_l, not_found_r, abort };
@@ -327,6 +322,26 @@ class hj_tree {
     node* curr = nullptr;
     op_t curr_op{};
   };
+
+  // --- null child references (Howley & Jones `SETNULL`) -----------------
+  // Splicing out a leaf stores a null that names the leaf, not nullptr,
+  // so each emptying of a child slot leaves a distinct value. With plain
+  // nullptr a stale helper re-running an insert's child CAS succeeds
+  // after the slot was filled and emptied again: it resurrects the
+  // removed node, and a concurrent insert whose record expects the
+  // empty slot then fails its child CAS although it reports success.
+
+  static constexpr std::uintptr_t null_bit = 1;
+
+  static node* null_ref(node* leaf) noexcept {
+    return reinterpret_cast<node*>(reinterpret_cast<std::uintptr_t>(leaf) |
+                                   null_bit);
+  }
+  /// The child a reference points to; nullptr for either kind of null.
+  static node* deref(node* ref) noexcept {
+    return (reinterpret_cast<std::uintptr_t>(ref) & null_bit) != 0 ? nullptr
+                                                                  : ref;
+  }
 
   static bool is_marked(op_t o) noexcept { return o.flagged() && o.tagged(); }
   static int op_state(op_t o) noexcept {
@@ -354,7 +369,7 @@ class hj_tree {
       return find_result::abort;  // successor search under a dirty root
     }
     {
-      node* next = c.curr->right.load(std::memory_order_acquire);
+      node* next = deref(c.curr->right.load(std::memory_order_acquire));
       node* last_right = c.curr;
       op_t last_right_op = c.curr_op;
       while (next != nullptr) {
@@ -370,10 +385,10 @@ class hj_tree {
         const Key curr_key = c.curr->key.load(std::memory_order_acquire);
         if (less_(key, curr_key)) {
           result = find_result::not_found_l;
-          next = c.curr->left.load(std::memory_order_acquire);
+          next = deref(c.curr->left.load(std::memory_order_acquire));
         } else if (less_(curr_key, key)) {
           result = find_result::not_found_r;
-          next = c.curr->right.load(std::memory_order_acquire);
+          next = deref(c.curr->right.load(std::memory_order_acquire));
           last_right = c.curr;
           last_right_op = c.curr_op;
         } else {
@@ -439,9 +454,12 @@ class hj_tree {
       // the grace period shields it from the freed node's address being
       // reused (ABA on the child slot). Insert records never qualify:
       // their `expected` is the null slot the new node went into.
-      if (swung && op->child_cas.expected != nullptr) {
-        reclaimer_.retire(op->child_cas.expected, &node_deleter,
-                          &node_pool_);
+      if (swung && deref(op->child_cas.expected) != nullptr) {
+        node* spliced = op->child_cas.expected;
+        // A marked word never changes again, so the record it names is
+        // released with the node.
+        release_op(spliced->op.load().address());
+        reclaimer_.retire(spliced, &node_deleter, &node_pool_);
       }
     }
   }
@@ -457,6 +475,7 @@ class hj_tree {
       const bool installed = op->relocate.dest->op.compare_exchange(
           dest_expected, op_t(op, /*childcas=*/false, /*relocate=*/true));
       if (!installed) stats_.on_cas_fail();
+      if (installed) release_op(op->relocate.dest_op.address());
       if (installed ||
           dest_expected == op_t(op, /*childcas=*/false, /*relocate=*/true)) {
         int expected_state = relocate_state::ongoing;
@@ -470,9 +489,11 @@ class hj_tree {
         // someone else already marked it successful.
         int expected_state = relocate_state::ongoing;
         stats_.on_cas();
-        op->relocate.state.compare_exchange_strong(
-            expected_state, relocate_state::failed,
-            std::memory_order_acq_rel);
+        if (op->relocate.state.compare_exchange_strong(
+                expected_state, relocate_state::failed,
+                std::memory_order_acq_rel)) {
+          release_op(op);  // the destination's reference never landed
+        }
         seen = op->relocate.state.load(std::memory_order_acquire);
       }
     }
@@ -513,13 +534,10 @@ class hj_tree {
   void help_marked(node* pred, op_t pred_op, node* curr) const {
     // Splice the marked single-child (or childless) node out from under
     // its parent via the parent's CHILDCAS protocol.
-    node* new_ref;
-    node* left = curr->left.load(std::memory_order_acquire);
-    if (left == nullptr) {
-      node* right = curr->right.load(std::memory_order_acquire);
-      new_ref = right;  // may be nullptr (leaf)
-    } else {
-      new_ref = left;
+    node* new_ref = curr->left.load(std::memory_order_acquire);
+    if (deref(new_ref) == nullptr) {
+      new_ref = curr->right.load(std::memory_order_acquire);
+      if (deref(new_ref) == nullptr) new_ref = null_ref(curr);  // leaf
     }
     operation* cas_op = make_op();
     cas_op->child_cas = {curr == pred->left.load(std::memory_order_acquire),
@@ -529,12 +547,9 @@ class hj_tree {
     if (pred->op.compare_exchange(
             expected, op_t(cas_op, /*childcas=*/true, /*relocate=*/false))) {
       // The spliced node itself is retired inside help_child_cas by the
-      // thread whose child CAS detaches it (see the comment there); the
-      // publisher only retires its own record.
+      // thread whose child CAS detaches it (see the comment there).
+      release_op(pred_op.address());
       help_child_cas(cas_op, pred);
-      if constexpr (Reclaimer::reclaims_eagerly) {
-        reclaimer_.retire(cas_op, &op_deleter, &op_pool_);
-      }
     } else {
       stats_.on_cas_fail();
       destroy_op(cas_op);  // never published
@@ -553,6 +568,25 @@ class hj_tree {
   operation* make_op() const {
     stats_.on_alloc();
     return new (op_pool_.allocate(sizeof(operation))) operation();
+  }
+
+  /// Drops one op-word reference to `op`; the last one retires it.
+  /// A word in state NONE keeps the address of the record that last
+  /// held it, and a find that read the word may still CAS against that
+  /// value. Retiring the record when its operation ends would let the
+  /// address come back on the same word (ABA) and validate a stale CAS.
+  /// So a record is released by the CAS that moves a word off it, or
+  /// with the node whose marked word holds it; a RelocateOp's reference
+  /// on its destination is reserved up front and dropped if the
+  /// relocation fails. The grace period then covers every thread that
+  /// read the old word.
+  void release_op(operation* op) const {
+    if constexpr (Reclaimer::reclaims_eagerly) {
+      if (op != nullptr &&
+          op->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        reclaimer_.retire(op, &op_deleter, &op_pool_);
+      }
+    }
   }
 
   void destroy_node(node* n) const {
@@ -578,10 +612,10 @@ class hj_tree {
     while (!stack.empty()) {
       node* n = stack.back();
       stack.pop_back();
-      if (node* l = n->left.load(std::memory_order_relaxed)) {
+      if (node* l = deref(n->left.load(std::memory_order_relaxed))) {
         stack.push_back(l);
       }
-      if (node* r = n->right.load(std::memory_order_relaxed)) {
+      if (node* r = deref(n->right.load(std::memory_order_relaxed))) {
         stack.push_back(r);
       }
       destroy_node(n);

@@ -84,6 +84,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -321,6 +322,7 @@ class kary_tree
       replace_fields replace;
       coalesce_fields coalesce;
     };
+    std::atomic<std::uint32_t> refs{1};  // update words holding it
     info_record() : replace{} {}
   };
 
@@ -551,9 +553,9 @@ class kary_tree
   /// helper slots taken below).
   ///
   /// Hazard-mode info protection: announce the record in hp_flagged,
-  /// then re-read the owner's word — sound for IFLAG/DFLAG because the
-  /// unflag CAS rewrites the word before the winner retires the
-  /// record. A MARK freezes the word forever, so that re-read proves
+  /// then re-read the owner's word — sound for IFLAG/DFLAG because a
+  /// record is retired only after every word holding it moved off it
+  /// (release_info). A MARK freezes the word forever, so that re-read proves
   /// nothing; marked words are helped only through help_mark
   /// (validated via the grandparent's edge) and skipped here — the next
   /// descent through the marked node helps it.
@@ -605,9 +607,9 @@ class kary_tree
   }
 
   /// Hazard-mode helper for a MARKed parent: the frozen word cannot
-  /// validate the record, but the grandparent's edge can — the winner
-  /// swings gp->children[parent_index] off the parent before retiring
-  /// the record, so announcing the record and then observing the edge
+  /// validate the record, but the grandparent's edge can — the record
+  /// is released only after gp->children[parent_index] swung off the
+  /// parent, so announcing the record and then observing the edge
   /// still addressing the parent proves the record was live at announce
   /// time. (The parent is protected, so its address cannot be reused to
   /// fake that observation.) Preconditions: s.grandparent and s.parent
@@ -663,6 +665,7 @@ class kary_tree
     stats_.on_cas();
     const bool marked = parent->update.compare_exchange(
         expected, update_t(op, /*iflag=*/true, /*dflag=*/true));
+    if (marked) release_info(op->coalesce.pupdate.address());
     if (marked || expected == update_t(op, true, true)) {
       help_marked(op);
       return true;
@@ -731,15 +734,17 @@ class kary_tree
                               : sprout(s.leaf, key);
       info_record* op = make_info();
       op->replace = {s.parent, s.leaf, replacement, s.child_index};
+      op->refs.store(2, std::memory_order_relaxed);  // parent + our help
 
       update_t expected = s.pupdate;
       stats_.on_cas();
       if (s.parent->update.compare_exchange(
               expected, update_t(op, /*iflag=*/true, /*dflag=*/false))) {
         help_replace(op);
+        release_info(op);
+        release_info(s.pupdate.address());
         if constexpr (Reclaimer::reclaims_eagerly) {
           reclaimer_.retire(s.leaf, &node_deleter, &node_pool_);
-          retire_info_later(op);
         }
         return true;
       }
@@ -790,14 +795,16 @@ class kary_tree
         const bool emptied = (replacement->key_count == 0);
         info_record* op = make_info();
         op->replace = {s.parent, s.leaf, replacement, s.child_index};
+        op->refs.store(2, std::memory_order_relaxed);  // parent + our help
         update_t expected = s.pupdate;
         stats_.on_cas();
         if (s.parent->update.compare_exchange(
                 expected, update_t(op, /*iflag=*/true, /*dflag=*/false))) {
           help_replace(op);
+          release_info(op);
+          release_info(s.pupdate.address());
           if constexpr (Reclaimer::reclaims_eagerly) {
             reclaimer_.retire(s.leaf, &node_deleter, &node_pool_);
-            retire_info_later(op);
           }
           if (emptied) collapse_upward(key);
           return true;
@@ -816,23 +823,25 @@ class kary_tree
       info_record* op = make_info();
       op->coalesce = {s.grandparent, s.parent, union_leaf, s.pupdate,
                       s.parent_index};
+      op->refs.store(2, std::memory_order_relaxed);  // grandparent + MARK
       update_t expected = s.gpupdate;
       stats_.on_cas();
       if (s.grandparent->update.compare_exchange(
               expected, update_t(op, /*iflag=*/false, /*dflag=*/true))) {
-        if (help_coalesce(op, /*parent_protected=*/true)) {
+        release_info(s.gpupdate.address());
+        const bool committed = help_coalesce(op, /*parent_protected=*/true);
+        release_info(op);  // the MARK reference: spliced out, or unused
+        if (committed) {
           if constexpr (Reclaimer::reclaims_eagerly) {
             // The winner retires the parent and all its leaf children.
             reclaimer_.retire(s.parent, &node_deleter, &node_pool_);
             for (node* sib : siblings) {
               reclaimer_.retire(sib, &node_deleter, &node_pool_);
             }
-            retire_info_later(op);
           }
           collapse_upward(key);  // cascade: gp may now be collapsible
           return true;
         }
-        if constexpr (Reclaimer::reclaims_eagerly) retire_info_later(op);
         destroy_node(union_leaf);
       } else {
         destroy_node(union_leaf);
@@ -911,6 +920,7 @@ class kary_tree
       info_record* op = make_info();
       op->coalesce = {s.grandparent, s.parent, union_leaf, s.pupdate,
                       s.parent_index};
+      op->refs.store(2, std::memory_order_relaxed);  // grandparent + MARK
       update_t expected = s.gpupdate;
       stats_.on_cas();
       if (!s.grandparent->update.compare_exchange(
@@ -919,8 +929,10 @@ class kary_tree
         destroy_info(op);
         return;
       }
-      if (!help_coalesce(op, /*parent_protected=*/true)) {
-        if constexpr (Reclaimer::reclaims_eagerly) retire_info_later(op);
+      release_info(s.gpupdate.address());
+      const bool committed = help_coalesce(op, /*parent_protected=*/true);
+      release_info(op);  // the MARK reference: spliced out, or unused
+      if (!committed) {
         destroy_node(union_leaf);
         return;
       }
@@ -930,7 +942,6 @@ class kary_tree
         for (node* sib : siblings) {
           reclaimer_.retire(sib, &node_deleter, &node_pool_);
         }
-        retire_info_later(op);
       }
       // Collapsed one level; the new union leaf's parent may now be
       // collapsible too.
@@ -1125,8 +1136,24 @@ class kary_tree
     static_cast<info_record*>(obj)->~info_record();
     static_cast<node_pool*>(ctx)->deallocate(obj);
   }
-  void retire_info_later(info_record* op) const {
-    reclaimer_.retire(op, &info_deleter, &info_pool_);
+  /// Drops one update-word reference to `op`; the last one retires it.
+  /// A CLEAN word keeps the address of the record that last flagged it,
+  /// and a descent that read the word may still CAS against that value.
+  /// Retiring the record when its operation ends would let the address
+  /// come back on the same word (ABA) and validate a stale CAS. So each
+  /// record is released by the CAS that moves a word off it (flag or
+  /// MARK), and a COALESCE's MARK reference by the end of its attempt.
+  /// The initiator also holds a reference while it helps its own
+  /// record: under hazard pointers it does not announce that record,
+  /// and another thread may move the word off it meanwhile. (A
+  /// COALESCE's MARK reference already covers its initiator.)
+  void release_info(info_record* op) const {
+    if constexpr (Reclaimer::reclaims_eagerly) {
+      if (op != nullptr &&
+          op->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        reclaimer_.retire(op, &info_deleter, &info_pool_);
+      }
+    }
   }
 
   // --- quiescent helpers ---------------------------------------------------

@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <set>
+#include <thread>
 #include <vector>
 
+#include "common/barrier.hpp"
 #include "common/rng.hpp"
 #include "reclaim/epoch.hpp"
 
@@ -146,6 +149,56 @@ TEST(BccoTree, EpochReclaimerChurn) {
   }
   EXPECT_EQ(t.size_slow(), 0u);
   EXPECT_EQ(t.validate(), "");
+}
+
+TEST(BccoTree, DuelingInsertsAfterChurnAddEachKeyOnce) {
+  // Two threads insert ascending and two descending, so every key is
+  // contested and the spines rotate constantly. A descent that recursed
+  // into a child without re-checking the parent's version after reading
+  // the child's could land an insert in a subtree that no longer covered
+  // its key, giving a duplicate. The preceding churn on a throwaway tree
+  // warms the slabs, which made the race show in about one round in ten.
+  constexpr unsigned kThreads = 4;
+  constexpr long kKeys = 4096;
+  for (int round = 0; round < 20; ++round) {
+    {
+      bcco_tree<long> warm;
+      std::vector<std::thread> churners;
+      for (unsigned tid = 0; tid < kThreads; ++tid) {
+        churners.emplace_back([&warm, tid, round] {
+          pcg32 rng = pcg32::for_thread(round, tid);
+          for (int i = 0; i < 40'000; ++i) {
+            const long k = rng.bounded(256);
+            if (rng.bounded(2) == 0) {
+              warm.insert(k);
+            } else {
+              warm.erase(k);
+            }
+          }
+        });
+      }
+      for (auto& th : churners) th.join();
+    }
+    bcco_tree<long> t;
+    std::atomic<long> victories{0};
+    spin_barrier barrier(kThreads);
+    std::vector<std::thread> threads;
+    for (unsigned tid = 0; tid < kThreads; ++tid) {
+      threads.emplace_back([&, tid] {
+        long wins = 0;
+        barrier.arrive_and_wait();
+        for (long i = 0; i < kKeys; ++i) {
+          const long k = (tid % 2 == 0) ? i : kKeys - 1 - i;
+          wins += t.insert(k) ? 1 : 0;
+        }
+        victories.fetch_add(wins);
+      });
+    }
+    for (auto& th : threads) th.join();
+    ASSERT_EQ(victories.load(), kKeys) << "round " << round;
+    ASSERT_EQ(t.size_slow(), static_cast<std::size_t>(kKeys));
+    ASSERT_EQ(t.validate(), "") << "round " << round;
+  }
 }
 
 }  // namespace

@@ -135,34 +135,38 @@ TEST(ReclamationStress, LeakyFootprintGrowsEpochFootprintPlateaus) {
       << " epoch=" << epoch_tree.footprint_bytes();
 }
 
+/// Four threads of insert/erase churn over 128 keys, then conservation
+/// and shape checks. Every erase retires nodes and every update retires
+/// a coordination record, so freed addresses come back fast.
+template <typename Tree>
+void hammer(Tree& tree) {
+  std::atomic<long> net{0};
+  spin_barrier barrier(4);
+  std::vector<std::thread> threads;
+  for (unsigned tid = 0; tid < 4; ++tid) {
+    threads.emplace_back([&, tid] {
+      pcg32 rng = pcg32::for_thread(606, tid);
+      long local = 0;
+      barrier.arrive_and_wait();
+      for (int i = 0; i < 25'000; ++i) {
+        const long k = rng.bounded(128);
+        if (rng.bounded(2) == 0) {
+          if (tree.insert(k)) ++local;
+        } else {
+          if (tree.erase(k)) --local;
+        }
+      }
+      net.fetch_add(local);
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(tree.size_slow(), static_cast<std::size_t>(net.load()));
+  EXPECT_EQ(tree.validate(), "");
+}
+
 TEST(ReclamationStress, EfrbAndHjAndBccoEpochChurnConcurrent) {
   // The baselines' retire points are different (owner-retires vs
   // splicer-retires); hammer each under the epoch policy.
-  auto hammer = [](auto& tree) {
-    std::atomic<long> net{0};
-    spin_barrier barrier(4);
-    std::vector<std::thread> threads;
-    for (unsigned tid = 0; tid < 4; ++tid) {
-      threads.emplace_back([&, tid] {
-        pcg32 rng = pcg32::for_thread(606, tid);
-        long local = 0;
-        barrier.arrive_and_wait();
-        for (int i = 0; i < 25'000; ++i) {
-          const long k = rng.bounded(128);
-          if (rng.bounded(2) == 0) {
-            if (tree.insert(k)) ++local;
-          } else {
-            if (tree.erase(k)) --local;
-          }
-        }
-        net.fetch_add(local);
-      });
-    }
-    for (auto& th : threads) th.join();
-    EXPECT_EQ(tree.size_slow(), static_cast<std::size_t>(net.load()));
-    EXPECT_EQ(tree.validate(), "");
-  };
-
   {
     efrb_tree<long, std::less<long>, reclaim::epoch> t;
     hammer(t);
@@ -175,6 +179,32 @@ TEST(ReclamationStress, EfrbAndHjAndBccoEpochChurnConcurrent) {
     bcco_tree<long, std::less<long>, reclaim::epoch> t;
     hammer(t);
   }
+}
+
+// One tree per test, several rounds each. Update words keep the address
+// of the record that last flagged them, and searches CAS against those
+// words. A record freed while a word still named it came back at the
+// same address and let a stale CAS through, losing an update or
+// retiring a node twice. These trees failed in roughly one round in
+// five that way under load.
+template <typename Tree>
+void hammer_rounds() {
+  for (int round = 0; round < 10 && !::testing::Test::HasFailure(); ++round) {
+    Tree t;
+    hammer(t);
+  }
+}
+
+TEST(ReclamationStress, EfrbEpochChurnRoundsConserve) {
+  hammer_rounds<efrb_tree<long, std::less<long>, reclaim::epoch>>();
+}
+
+TEST(ReclamationStress, HjEpochChurnRoundsConserve) {
+  hammer_rounds<hj_tree<long, std::less<long>, reclaim::epoch>>();
+}
+
+TEST(ReclamationStress, KaryEpochChurnRoundsConserve) {
+  hammer_rounds<kary_tree<long, 4, std::less<long>, reclaim::epoch>>();
 }
 
 TEST(ReclamationStress, DestructionAfterChurnIsClean) {
