@@ -57,10 +57,12 @@
 // (an asymmetric op gate: striped counters on the op side, one
 // generation flip + drain wait on the migration side) fence the window
 // so that every operation either sees a stable partition or sees the
-// record; no operation ever blocks on the gate itself. The drain moves
-// keys with the concurrent bounded range_scan, one striped lock per
-// key, so a key is in exactly one logical shard at every linearization
-// point throughout.
+// record; no operation ever blocks on the gate itself. Operations that
+// entered before the first wait route solo, and covered dual-path
+// inserts wait for that first wait to end, so no key gains a copy in
+// both trees. The drain moves keys with the concurrent bounded
+// range_scan, one striped lock per key, so a key is in exactly one
+// logical shard at every linearization point throughout.
 //
 // Metrics: when the inner tree records per-instance metrics
 // (obs::recording), merged_counters() / merged_latency_histogram() /
@@ -182,6 +184,9 @@ class sharded_set {
     key_type hi{};
     std::size_t src = 0;
     std::size_t dst = 0;
+    // Gate generation from which operations take the dual path: the one
+    // the record's first quiescence flips to (see dual_route).
+    std::uint64_t gen = 0;
 
     [[nodiscard]] bool covers(const key_type& k) const noexcept {
       return !(k < lo) && k < hi;
@@ -217,7 +222,7 @@ class sharded_set {
     }
     op_gate_guard gate(*this);
     migration rec;
-    const bool dual = read_migration(rec);
+    const bool dual = dual_route(gate, rec);
     return contains_routed(dual ? &rec : nullptr,
                            current_router().shard_of(key), key);
   }
@@ -228,7 +233,7 @@ class sharded_set {
     }
     op_gate_guard gate(*this);
     migration rec;
-    const bool dual = read_migration(rec);
+    const bool dual = dual_route(gate, rec);
     return insert_routed(dual ? &rec : nullptr,
                          current_router().shard_of(key), key);
   }
@@ -239,7 +244,7 @@ class sharded_set {
     }
     op_gate_guard gate(*this);
     migration rec;
-    const bool dual = read_migration(rec);
+    const bool dual = dual_route(gate, rec);
     return erase_routed(dual ? &rec : nullptr,
                         current_router().shard_of(key), key);
   }
@@ -393,23 +398,29 @@ class sharded_set {
     if (!(cur.splitter(boundary - 1) < q)) return 0;
     if (boundary + 1 < count && !(q < cur.splitter(boundary + 1))) return 0;
 
+    // Operations entering after the first quiescence flip take the dual
+    // path (gate_gen_ moves only in quiesce_gate, which migrate_mutex_
+    // serializes).
+    const std::uint64_t gen = gate_gen_.load(std::memory_order_seq_cst) + 1;
     // The subrange changing hands and its direction. Lowering the
     // splitter grows shard `boundary` downward (donor is the left
     // neighbor); raising it shrinks shard `boundary` (donor).
     migration m;
     if (q < old_splitter) {
-      m = migration{q, old_splitter, boundary - 1, boundary};
+      m = migration{q, old_splitter, boundary - 1, boundary, gen};
     } else {
-      m = migration{old_splitter, q, boundary, boundary - 1};
+      m = migration{old_splitter, q, boundary, boundary - 1, gen};
     }
 
     const auto t0 = std::chrono::steady_clock::now();
     // 1. Publish the record. 2. Quiesce: every operation still running
     // after this entered the gate after the record was visible, so it
     // routes the subrange through the dual path. Only now is it safe to
-    // change where the router sends covered keys.
+    // change where the router sends covered keys, and to let dual-path
+    // inserts, which waited for the solo operations, proceed.
     publish_migration(m);
     quiesce_gate();
+    mig_ready_gen_.store(m.gen, std::memory_order_seq_cst);
     // 3. Flip the partition. Old router versions stay alive in
     // routers_ until the post-drain quiesce proves no reader holds one.
     auto next = std::make_unique<Router>(cur.with_splitter(boundary, q));
@@ -651,6 +662,7 @@ class sharded_set {
         slot.fetch_add(1, std::memory_order_seq_cst);
         if (set.gate_gen_.load(std::memory_order_seq_cst) == g) {
           slot_ = &slot;
+          gen_ = g;
           return;
         }
         // Raced a generation flip: the quiescer may already have read
@@ -664,8 +676,12 @@ class sharded_set {
     op_gate_guard(const op_gate_guard&) = delete;
     op_gate_guard& operator=(const op_gate_guard&) = delete;
 
+    /// The generation this operation entered under.
+    [[nodiscard]] std::uint64_t generation() const noexcept { return gen_; }
+
    private:
     std::atomic<std::uint32_t>* slot_ = nullptr;
+    std::uint64_t gen_ = 0;
   };
 
   /// Worker side: flip the generation, wait until every operation that
@@ -690,6 +706,7 @@ class sharded_set {
                    std::memory_order_relaxed);
     rec_dst_.store(static_cast<std::uint32_t>(m.dst),
                    std::memory_order_relaxed);
+    rec_gen_.store(m.gen, std::memory_order_relaxed);
     mig_active_.store(true, std::memory_order_relaxed);
     mig_seq_.fetch_add(1, std::memory_order_seq_cst);  // even: stable
   }
@@ -712,11 +729,24 @@ class sharded_set {
         out.hi = rec_hi_.load(std::memory_order_relaxed);
         out.src = rec_src_.load(std::memory_order_relaxed);
         out.dst = rec_dst_.load(std::memory_order_relaxed);
+        out.gen = rec_gen_.load(std::memory_order_relaxed);
         std::atomic_thread_fence(std::memory_order_acquire);
         if (mig_seq_.load(std::memory_order_relaxed) == s0) return active;
       }
       atomics_policy::shared_step();
     }
+  }
+
+  /// Whether an operation inside `gate` takes the dual path; fills
+  /// `rec`. An operation that entered before the record's first
+  /// quiescence flip routes solo even if it sees the record: the router
+  /// has not flipped yet and that quiescence waits for it, so it and
+  /// every other such operation reach the donor alone. Giving it the
+  /// dual path would let it add a covered key to the recipient while a
+  /// solo one adds the same key to the donor.
+  [[nodiscard]] bool dual_route(const op_gate_guard& gate,
+                                migration& rec) const {
+    return read_migration(rec) && gate.generation() >= rec.gen;
   }
 
   // --- striped per-key locks for the dual-routing window --------------
@@ -786,6 +816,12 @@ class sharded_set {
   bool insert_routed(const migration* rec, std::size_t s,
                      const key_type& k) {
     if (rec != nullptr && rec->covers(k)) {
+      // Solo operations from before the first quiescence may still be
+      // inserting into the donor; wait them out. That quiescence waits
+      // only for them, and they never wait here, so this terminates.
+      while (mig_ready_gen_.load(std::memory_order_acquire) < rec->gen) {
+        atomics_policy::shared_step();
+      }
       key_lock_guard guard(*this, k);
       // Single-copy invariant: a covered key lives in exactly one of
       // donor/recipient outside the lock. New inserts always land in
@@ -946,7 +982,7 @@ class sharded_set {
     bool dual = false;
     if (self.armed()) {
       gate.emplace(self);
-      dual = self.read_migration(rec);
+      dual = self.dual_route(*gate, rec);
     }
     const Router& r = self.current_router();
     const migration* rec_ptr = dual ? &rec : nullptr;
@@ -973,6 +1009,9 @@ class sharded_set {
   std::atomic<key_type> rec_hi_{};
   std::atomic<std::uint32_t> rec_src_{0};
   std::atomic<std::uint32_t> rec_dst_{0};
+  std::atomic<std::uint64_t> rec_gen_{0};
+  // The `gen` of the last record whose first quiescence has finished.
+  std::atomic<std::uint64_t> mig_ready_gen_{0};
   std::array<key_lock, key_lock_count> key_locks_{};
   std::mutex migrate_mutex_;
   std::atomic<std::uint64_t> migrations_{0};

@@ -237,6 +237,30 @@ TEST(ShardedDschedMigration, ScanRacingSplitterMigrationSweep) {
   EXPECT_TRUE(walk.all_ok()) << walk.first_failure;
 }
 
+TEST(ShardedDschedMigration, DuelingInsertsStraddlingRecordPublishRandomWalk) {
+  // Two inserts of one key in the moving subrange [12, 16). If one
+  // enters the gate and reads no record, and the other enters after the
+  // record is published, the first inserts into the donor and the second
+  // into the recipient: both report success. Operations that entered
+  // before the first quiescence flip must route solo, and dual-path
+  // inserts must wait for that quiescence. Random walk, not DFS: DFS
+  // varies the late steps first and never reached this interleaving
+  // within budget; the walk found it in 32 of 400 seeds.
+  scenario sc;
+  sc.setup = [](sched_sharded& t) { t.arm_rebalancing(); };
+  for (int i = 0; i < 2; ++i) {
+    sc.threads.push_back(
+        [](dsched::recorder<sched_sharded>& r) { r.insert(14); });
+  }
+  sc.threads.push_back([](dsched::recorder<sched_sharded>& r) {
+    (void)r.tree().migrate_splitter(1, 12);
+  });
+  sc.universe = {14};
+  const auto walk = dsched::explore_random(sc, /*base_seed=*/15000,
+                                           dsched::scaled_budget(100));
+  EXPECT_TRUE(walk.all_ok()) << walk.first_failure;
+}
+
 TEST(ShardedDschedMigration, OpposingMigrationsRandomWalk) {
   scenario sc;
   sc.setup = [](sched_sharded& t) {
