@@ -116,7 +116,7 @@ double run_batch_soup(Set& set, std::int64_t key_range, unsigned threads,
 // One rebalance-study run: a 50/25/25 soup whose key stream is
 // `workload` (uniform | hotspot90 | zipf), with the max-shard-share
 // imbalance gauge sampled over the first and last quarter of the run.
-// The rebalancer (when any) is already armed and started by the caller.
+// The rebalancer (when any) is already started by the caller.
 struct rebalance_result {
   double mops = 0.0;
   double share_start = 0.0;

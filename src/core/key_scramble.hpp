@@ -407,18 +407,6 @@ class scrambled_set {
     return inner_.router();
   }
 
-  void arm_rebalancing() noexcept
-    requires requires(Set& t) { t.arm_rebalancing(); }
-  {
-    inner_.arm_rebalancing();
-  }
-
-  [[nodiscard]] bool rebalancing_armed() const noexcept
-    requires requires(const Set& t) { t.rebalancing_armed(); }
-  {
-    return inner_.rebalancing_armed();
-  }
-
   /// Splitter coordinates are scrambled-space values: callers derive
   /// them from this set's own router/heatmap, never from client keys.
   std::size_t migrate_splitter(std::size_t boundary, key_type new_splitter)

@@ -19,7 +19,7 @@
 //   * Request coalescing: the inbox is drained in maximal runs of
 //     same-opcode point requests (get/get/get...), and each run is
 //     executed through one contains_batch / insert_batch / erase_batch
-//     call, so the set's per-call work (router load, op gate) amortizes
+//     call, so the set's per-call work (op gate, partition load) amortizes
 //     across the whole pipelined run. Responses are emitted in input
 //     order (the protocol has request ids, but order is guaranteed per
 //     connection anyway).

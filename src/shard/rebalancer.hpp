@@ -68,7 +68,6 @@ class rebalancer {
 
   explicit rebalancer(Set& set, rebalancer_options opts = {})
       : set_(set), opts_(opts), prev_ops_(set.shard_count(), 0) {
-    set_.arm_rebalancing();
     prime();
   }
 
@@ -86,9 +85,7 @@ class rebalancer {
   void stop() {
     {
       std::lock_guard<std::mutex> lk(mu_);
-      if (stop_.exchange(true, std::memory_order_relaxed)) {
-        // already stopping/stopped; still join below if joinable
-      }
+      stop_.store(true, std::memory_order_relaxed);
     }
     cv_.notify_all();
     if (worker_.joinable()) worker_.join();

@@ -24,9 +24,8 @@
 //
 // Batched operations (insert_batch / erase_batch / contains_batch)
 // take a vector of keys and apply them in input order, each routed to
-// its shard, under one router snapshot (and, once rebalancing is armed,
-// one op-gate entry and one migration snapshot) for the whole batch.
-// Results come back in input order. A batch is NOT
+// its shard, under one op-gate entry and one partition snapshot for the
+// whole batch. Results come back in input order. A batch is NOT
 // atomic: each element is its own linearizable operation whose
 // linearization point lies somewhere inside the batch call (the
 // per-element guarantee the lincheck and dsched suites pin down).
@@ -45,10 +44,10 @@
 // visited-shards-must-be-quiescent precondition for them only.
 //
 // Online subrange migration (docs/SHARDING.md has the full protocol):
-// once arm_rebalancing() is called, migrate_splitter(boundary, key)
-// moves one router boundary while readers and writers keep running.
-// The partition is versioned — ops load an immutable router snapshot
-// through one atomic pointer — and a seqlock-published migration
+// migrate_splitter(boundary, key) moves one router boundary while
+// readers and writers keep running. Every operation enters an op gate
+// and loads one immutable partition snapshot through one atomic
+// pointer: the router plus, while a migration runs, its record. The
 // record opens a brief dual-routing window for the moving subrange:
 // covered writers take a striped per-key lock and consult both the
 // donor and the recipient tree, covered reads stay lock-free by
@@ -185,7 +184,7 @@ class sharded_set {
     std::size_t src = 0;
     std::size_t dst = 0;
     // Gate generation from which operations take the dual path: the one
-    // the record's first quiescence flips to (see dual_route).
+    // the record's first quiescence flips to (see routing).
     std::uint64_t gen = 0;
 
     [[nodiscard]] bool covers(const key_type& k) const noexcept {
@@ -207,80 +206,61 @@ class sharded_set {
     for (std::size_t i = 0; i < count; ++i) {
       shards_.push_back(make_slot(numa_.node_for_shard(i, count)));
     }
-    routers_.push_back(std::make_unique<Router>(std::move(router)));
-    router_.store(routers_.back().get(), std::memory_order_seq_cst);
+    publish(partition{std::move(router), std::nullopt});
   }
 
   sharded_set(const sharded_set&) = delete;
   sharded_set& operator=(const sharded_set&) = delete;
 
-  // --- single-key operations: route once, delegate ------------------
+  // --- single-key operations: enter the gate, route once, delegate ---
 
   [[nodiscard]] bool contains(const key_type& key) const {
-    if (!armed()) {
-      return shards_[current_router().shard_of(key)]->tree.contains(key);
-    }
     op_gate_guard gate(*this);
-    migration rec;
-    const bool dual = dual_route(gate, rec);
-    return contains_routed(dual ? &rec : nullptr,
-                           current_router().shard_of(key), key);
+    return contains_routed(routing(gate), key);
   }
 
   bool insert(const key_type& key) {
-    if (!armed()) {
-      return shards_[current_router().shard_of(key)]->tree.insert(key);
-    }
     op_gate_guard gate(*this);
-    migration rec;
-    const bool dual = dual_route(gate, rec);
-    return insert_routed(dual ? &rec : nullptr,
-                         current_router().shard_of(key), key);
+    return insert_routed(routing(gate), key);
   }
 
   bool erase(const key_type& key) {
-    if (!armed()) {
-      return shards_[current_router().shard_of(key)]->tree.erase(key);
-    }
     op_gate_guard gate(*this);
-    migration rec;
-    const bool dual = dual_route(gate, rec);
-    return erase_routed(dual ? &rec : nullptr,
-                        current_router().shard_of(key), key);
+    return erase_routed(routing(gate), key);
   }
 
   // --- batched operations -------------------------------------------
   // Keys apply in input order, each routed on its own, and only the
   // results vector is allocated: results[i] is what op(keys[i]) would
   // have returned. The whole batch runs under one gate entry and one
-  // migration-record snapshot: the gate blocks a migration's quiescence
-  // waits while the batch is inside, so the snapshot stays valid for
-  // every element. Keys are not grouped by shard first: on the
+  // partition snapshot: the gate blocks a migration's quiescence waits
+  // while the batch is inside, so the snapshot stays valid for every
+  // element. Keys are not grouped by shard first: on the
   // server's runs of a few keys a counting sort cost more than it saved
   // (docs/PERF.md §9).
 
   [[nodiscard]] std::vector<bool> contains_batch(
       const std::vector<key_type>& keys) const {
     return batch_apply(*this, keys,
-                       [](const sharded_set& self, const migration* rec,
-                          std::size_t s, const key_type& k) {
-                         return self.contains_routed(rec, s, k);
+                       [](const sharded_set& self, const route& r,
+                          const key_type& k) {
+                         return self.contains_routed(r, k);
                        });
   }
 
   std::vector<bool> insert_batch(const std::vector<key_type>& keys) {
     return batch_apply(*this, keys,
-                       [](sharded_set& self, const migration* rec,
-                          std::size_t s, const key_type& k) {
-                         return self.insert_routed(rec, s, k);
+                       [](sharded_set& self, const route& r,
+                          const key_type& k) {
+                         return self.insert_routed(r, k);
                        });
   }
 
   std::vector<bool> erase_batch(const std::vector<key_type>& keys) {
     return batch_apply(*this, keys,
-                       [](sharded_set& self, const migration* rec,
-                          std::size_t s, const key_type& k) {
-                         return self.erase_routed(rec, s, k);
+                       [](sharded_set& self, const route& r,
+                          const key_type& k) {
+                         return self.erase_routed(r, k);
                        });
   }
 
@@ -364,31 +344,19 @@ class sharded_set {
 
   // --- online subrange migration -------------------------------------
 
-  /// Enables the migration-aware operation paths. Must happen-before
-  /// any concurrent operation (arm, then spawn the op threads): the
-  /// flag itself is read without synchronization on the hot path, so
-  /// arming under load is not supported. Once armed, every operation
-  /// pays one gate round-trip (two uncontended striped fetch_adds).
-  void arm_rebalancing() noexcept {
-    armed_.store(true, std::memory_order_seq_cst);
-  }
-
-  [[nodiscard]] bool rebalancing_armed() const noexcept { return armed(); }
-
   /// Moves router boundary `boundary` (1 <= boundary < shard_count) to
   /// `new_splitter` while readers and writers keep running, migrating
   /// the keys of the subrange that changed hands between the two
   /// adjacent shards. The splitter is quantized to the router's bucket
   /// grid; a request that quantizes onto an existing boundary (or out
   /// of the boundary's legal interval) is a no-op. Returns the number
-  /// of keys migrated. Requires arm_rebalancing() beforehand. Safe to
-  /// call from any thread; concurrent migrations serialize.
+  /// of keys migrated. Safe to call from any thread; concurrent
+  /// migrations serialize.
   std::size_t migrate_splitter(std::size_t boundary, key_type new_splitter)
     requires migratable_tree<Tree>
   {
-    LFBST_ASSERT(armed(), "arm_rebalancing() before migrate_splitter()");
     std::lock_guard<std::mutex> serialize(migrate_mutex_);
-    const Router& cur = current_router();
+    const Router& cur = live().router;
     const std::size_t count = cur.shard_count();
     LFBST_ASSERT(boundary >= 1 && boundary < count,
                  "migrate_splitter boundary out of range");
@@ -413,35 +381,31 @@ class sharded_set {
     }
 
     const auto t0 = std::chrono::steady_clock::now();
-    // 1. Publish the record. 2. Quiesce: every operation still running
-    // after this entered the gate after the record was visible, so it
-    // routes the subrange through the dual path. Only now is it safe to
-    // change where the router sends covered keys, and to let dual-path
-    // inserts, which waited for the solo operations, proceed.
-    publish_migration(m);
+    // 1. Publish the record beside the old router. 2. Quiesce: every
+    // operation still running after this entered the gate after the
+    // record was visible, so it routes the subrange through the dual
+    // path. Only now is it safe to change where the router sends covered
+    // keys, and to let dual-path inserts, which waited for the solo
+    // operations, proceed.
+    publish(partition{cur, m});
     quiesce_gate();
     mig_ready_gen_.store(m.gen, std::memory_order_seq_cst);
-    // 3. Flip the partition. Old router versions stay alive in
-    // routers_ until the post-drain quiesce proves no reader holds one.
-    auto next = std::make_unique<Router>(cur.with_splitter(boundary, q));
-    const Router* next_raw = next.get();
-    routers_.push_back(std::move(next));
-    router_.store(next_raw, std::memory_order_seq_cst);
+    // 3. Flip the partition: the new router under the same record.
+    publish(partition{cur.with_splitter(boundary, q), m});
     // 4. Drain: move the subrange's keys donor -> recipient, one
     // striped per-key lock at a time, insert-before-erase so lock-free
     // readers never miss a moving key.
     const std::size_t moved = drain(m);
     // 5. Quiesce again: operations that predate the router flip (and
     // could still route covered keys to the donor solo) are gone, and
-    // no reader can still hold a retired router version. 6. Close the
-    // dual-routing window and retire old routers.
+    // so is every operation that loaded a snapshot superseded before
+    // this flip, so those are freed. The live snapshot stays, since an
+    // operation that entered after the flip may still hold it; the next
+    // migration's second quiesce frees it. 6. Close the dual-routing
+    // window.
     quiesce_gate();
-    clear_migration();
-    if (routers_.size() > 1) {
-      std::unique_ptr<Router> live = std::move(routers_.back());
-      routers_.clear();
-      routers_.push_back(std::move(live));
-    }
+    partitions_.erase(partitions_.begin(), partitions_.end() - 1);
+    publish(partition{partitions_.back()->router, std::nullopt});
     const auto t1 = std::chrono::steady_clock::now();
     migrations_.fetch_add(1, std::memory_order_relaxed);
     keys_migrated_.fetch_add(moved, std::memory_order_relaxed);
@@ -499,7 +463,7 @@ class sharded_set {
   /// writers or migrations).
   [[nodiscard]] std::string validate() const {
     std::string err;
-    const Router& r = current_router();
+    const Router& r = live().router;
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       const std::string inner = shards_[i]->tree.validate();
       if (!inner.empty()) {
@@ -522,11 +486,12 @@ class sharded_set {
   [[nodiscard]] std::size_t shard_count() const noexcept {
     return shards_.size();
   }
-  /// The live router version. The reference stays valid until the next
-  /// migration completes; ops inside the gate may rely on it, external
-  /// callers should treat it as a point-in-time snapshot.
+  /// The live router version. Its snapshot is freed by the second
+  /// quiesce of the next migration, so the reference stays valid until
+  /// that migration completes; external callers should treat it as a
+  /// point-in-time view.
   [[nodiscard]] const Router& router() const noexcept {
-    return current_router();
+    return live().router;
   }
   [[nodiscard]] Tree& shard(std::size_t i) noexcept {
     return shards_[i]->tree;
@@ -626,12 +591,30 @@ class sharded_set {
     return slot_ptr(new slot, [](slot* p) { delete p; });
   }
 
-  [[nodiscard]] bool armed() const noexcept {
-    return armed_.load(std::memory_order_relaxed);
+  /// What operations route by: an immutable router and, while a
+  /// migration runs, its record, published together through part_ so
+  /// one load gives an operation both.
+  struct partition {
+    Router router;
+    std::optional<migration> mig;
+  };
+
+  /// An operation's routing: its snapshot's router, and the record when
+  /// the operation takes the dual path (nullptr: route solo).
+  struct route {
+    const Router& router;
+    const migration* rec;
+  };
+
+  [[nodiscard]] const partition& live() const noexcept {
+    return *part_.load(std::memory_order_seq_cst);
   }
 
-  [[nodiscard]] const Router& current_router() const noexcept {
-    return *router_.load(std::memory_order_seq_cst);
+  /// Makes `next` the live partition. Superseded snapshots stay in
+  /// partitions_ until a migration's second quiesce frees them.
+  void publish(partition next) {
+    partitions_.push_back(std::make_unique<const partition>(std::move(next)));
+    part_.store(partitions_.back().get(), std::memory_order_seq_cst);
   }
 
   // --- the op gate ----------------------------------------------------
@@ -642,7 +625,7 @@ class sharded_set {
   // parity's counters to drain. seq_cst on the entry path and the flip
   // gives the key ordering property: an operation that enters after a
   // flip also sees every store the worker published before the flip
-  // (the migration record, the new router pointer).
+  // (the next partition snapshot).
 
   static constexpr std::size_t gate_stripe_count = 16;
 
@@ -696,57 +679,17 @@ class sharded_set {
     }
   }
 
-  // --- the migration record (seqlock-published) -----------------------
-
-  void publish_migration(const migration& m) {
-    mig_seq_.fetch_add(1, std::memory_order_seq_cst);  // odd: writing
-    rec_lo_.store(m.lo, std::memory_order_relaxed);
-    rec_hi_.store(m.hi, std::memory_order_relaxed);
-    rec_src_.store(static_cast<std::uint32_t>(m.src),
-                   std::memory_order_relaxed);
-    rec_dst_.store(static_cast<std::uint32_t>(m.dst),
-                   std::memory_order_relaxed);
-    rec_gen_.store(m.gen, std::memory_order_relaxed);
-    mig_active_.store(true, std::memory_order_relaxed);
-    mig_seq_.fetch_add(1, std::memory_order_seq_cst);  // even: stable
-  }
-
-  void clear_migration() {
-    mig_seq_.fetch_add(1, std::memory_order_seq_cst);
-    mig_active_.store(false, std::memory_order_relaxed);
-    mig_seq_.fetch_add(1, std::memory_order_seq_cst);
-  }
-
-  /// Consistent snapshot of the record; false when no migration is in
-  /// flight. Lock-free seqlock read (fields are relaxed atomics, the
-  /// sequence word validates them).
-  [[nodiscard]] bool read_migration(migration& out) const {
-    for (;;) {
-      const std::uint64_t s0 = mig_seq_.load(std::memory_order_seq_cst);
-      if ((s0 & 1) == 0) {
-        const bool active = mig_active_.load(std::memory_order_relaxed);
-        out.lo = rec_lo_.load(std::memory_order_relaxed);
-        out.hi = rec_hi_.load(std::memory_order_relaxed);
-        out.src = rec_src_.load(std::memory_order_relaxed);
-        out.dst = rec_dst_.load(std::memory_order_relaxed);
-        out.gen = rec_gen_.load(std::memory_order_relaxed);
-        std::atomic_thread_fence(std::memory_order_acquire);
-        if (mig_seq_.load(std::memory_order_relaxed) == s0) return active;
-      }
-      atomics_policy::shared_step();
-    }
-  }
-
-  /// Whether an operation inside `gate` takes the dual path; fills
-  /// `rec`. An operation that entered before the record's first
-  /// quiescence flip routes solo even if it sees the record: the router
-  /// has not flipped yet and that quiescence waits for it, so it and
-  /// every other such operation reach the donor alone. Giving it the
-  /// dual path would let it add a covered key to the recipient while a
-  /// solo one adds the same key to the donor.
-  [[nodiscard]] bool dual_route(const op_gate_guard& gate,
-                                migration& rec) const {
-    return read_migration(rec) && gate.generation() >= rec.gen;
+  /// The routing of an operation inside `gate`. An operation that
+  /// entered before the record's first quiescence flip routes solo even
+  /// if it sees the record: the router has not flipped yet and that
+  /// quiescence waits for it, so it and every other such operation
+  /// reach the donor alone. Giving it the dual path would let it add a
+  /// covered key to the recipient while a solo one adds the same key to
+  /// the donor.
+  [[nodiscard]] route routing(const op_gate_guard& gate) const noexcept {
+    const partition& p = live();
+    const bool dual = p.mig.has_value() && gate.generation() >= p.mig->gen;
+    return {p.router, dual ? &*p.mig : nullptr};
   }
 
   // --- striped per-key locks for the dual-routing window --------------
@@ -794,14 +737,12 @@ class sharded_set {
   };
 
   // --- routed operation bodies ---------------------------------------
-  // `rec` is the caller's migration-record snapshot (nullptr: none).
-  // Covered keys take the dual path; everything else routes to shard
-  // `s` exactly as before. The caller must hold the op gate whenever
-  // rec could be non-null.
+  // `r` is the caller's routing, taken inside the op gate it still
+  // holds. Keys covered by its record take the dual path; everything
+  // else goes to the shard its router names.
 
-  [[nodiscard]] bool contains_routed(const migration* rec, std::size_t s,
-                                     const key_type& k) const {
-    if (rec != nullptr && rec->covers(k)) {
+  [[nodiscard]] bool contains_routed(const route& r, const key_type& k) const {
+    if (const migration* rec = r.rec; rec != nullptr && rec->covers(k)) {
       // Lock-free dual read, donor before recipient — the mirror image
       // of the drain's insert-into-recipient-before-erase-from-donor
       // order, so a key caught mid-move is seen in at least one tree:
@@ -810,12 +751,11 @@ class sharded_set {
       if (shards_[rec->src]->tree.contains(k)) return true;
       return shards_[rec->dst]->tree.contains(k);
     }
-    return shards_[s]->tree.contains(k);
+    return shards_[r.router.shard_of(k)]->tree.contains(k);
   }
 
-  bool insert_routed(const migration* rec, std::size_t s,
-                     const key_type& k) {
-    if (rec != nullptr && rec->covers(k)) {
+  bool insert_routed(const route& r, const key_type& k) {
+    if (const migration* rec = r.rec; rec != nullptr && rec->covers(k)) {
       // Solo operations from before the first quiescence may still be
       // inserting into the donor; wait them out. That quiescence waits
       // only for them, and they never wait here, so this terminates.
@@ -829,16 +769,16 @@ class sharded_set {
       if (shards_[rec->src]->tree.contains(k)) return false;
       return shards_[rec->dst]->tree.insert(k);
     }
-    return shards_[s]->tree.insert(k);
+    return shards_[r.router.shard_of(k)]->tree.insert(k);
   }
 
-  bool erase_routed(const migration* rec, std::size_t s, const key_type& k) {
-    if (rec != nullptr && rec->covers(k)) {
+  bool erase_routed(const route& r, const key_type& k) {
+    if (const migration* rec = r.rec; rec != nullptr && rec->covers(k)) {
       key_lock_guard guard(*this, k);
       if (shards_[rec->src]->tree.erase(k)) return true;
       return shards_[rec->dst]->tree.erase(k);
     }
-    return shards_[s]->tree.erase(k);
+    return shards_[r.router.shard_of(k)]->tree.erase(k);
   }
 
   /// The drain: page the donor's covered subrange with the concurrent
@@ -898,19 +838,16 @@ class sharded_set {
     const auto overlaps = [&](const migration& m) {
       return !(hi_incl < m.lo) && lo < m.hi;
     };
-    std::optional<op_gate_guard> gate;
-    migration rec;
-    bool dual = false;
-    if (armed()) {
-      gate.emplace(*this);
-      dual = read_migration(rec) && overlaps(rec);
-    }
-    const Router& r = current_router();
-    std::size_t first = r.shard_of(lo);
-    std::size_t last = r.shard_of(hi_incl);
+    op_gate_guard gate(*this);
+    // Scans widen on any overlapping record, whatever generation they
+    // entered under: visiting both trees is safe at any point.
+    const partition& p = live();
+    const bool dual = p.mig.has_value() && overlaps(*p.mig);
+    std::size_t first = p.router.shard_of(lo);
+    std::size_t last = p.router.shard_of(hi_incl);
     if (dual) {
-      first = std::min(first, std::min(rec.src, rec.dst));
-      last = std::max(last, std::max(rec.src, rec.dst));
+      first = std::min(first, std::min(p.mig->src, p.mig->dst));
+      last = std::max(last, std::max(p.mig->src, p.mig->dst));
     }
     for (std::size_t s = first; s <= last; ++s) {
       const std::size_t budget = dual ? max_items : max_items - out.size();
@@ -922,8 +859,8 @@ class sharded_set {
     // erase. Re-reading the recipient after the donor walk closes the
     // gap (the insert preceded that erase, so it is visible now); the
     // merge below collapses double sightings.
-    if (dual && rec.dst < rec.src) {
-      scan_shard(shards_[rec.dst]->tree, lo, hi, closed, max_items, out);
+    if (dual && p.mig->dst < p.mig->src) {
+      scan_shard(shards_[p.mig->dst]->tree, lo, hi, closed, max_items, out);
     }
     // Late-record repair: a scan that entered with no record may see
     // one published since. Its first quiescence wait is blocked on this
@@ -934,8 +871,8 @@ class sharded_set {
     // (seeing or missing them is fine); only ordering needs repair. The
     // record, if any, is still live here (the quiesce cannot pass until
     // we release the gate).
-    migration late;
-    if (dual || (gate.has_value() && read_migration(late) && overlaps(late))) {
+    const partition& late = live();
+    if (dual || (late.mig.has_value() && overlaps(*late.mig))) {
       std::sort(out.begin(), out.end());
       out.erase(std::unique(out.begin(), out.end()), out.end());
       if (out.size() > max_items) out.resize(max_items);
@@ -967,8 +904,9 @@ class sharded_set {
   }
 
   /// Shared batch engine; `Self` deduces const for contains_batch and
-  /// non-const for the mutating batches. One gate entry and one record
-  /// snapshot cover the whole batch (see the batched-operations note).
+  /// non-const for the mutating batches. One gate entry and one
+  /// partition snapshot cover the whole batch (see the batched-operations
+  /// note).
   template <typename Self, typename Op>
   static std::vector<bool> batch_apply(Self& self,
                                        const std::vector<key_type>& keys,
@@ -977,39 +915,22 @@ class sharded_set {
     std::vector<bool> results(n);
     if (n == 0) return results;
 
-    std::optional<op_gate_guard> gate;
-    migration rec;
-    bool dual = false;
-    if (self.armed()) {
-      gate.emplace(self);
-      dual = self.dual_route(*gate, rec);
-    }
-    const Router& r = self.current_router();
-    const migration* rec_ptr = dual ? &rec : nullptr;
-    for (std::size_t i = 0; i < n; ++i) {
-      results[i] = op(self, rec_ptr, r.shard_of(keys[i]), keys[i]);
-    }
+    op_gate_guard gate(self);
+    const route r = self.routing(gate);
+    for (std::size_t i = 0; i < n; ++i) results[i] = op(self, r, keys[i]);
     return results;
   }
 
   numa::policy numa_;
   std::vector<slot_ptr> shards_;
-  // Router versioning: ops read `router_` (the live version); retired
-  // versions stay in `routers_` until the post-drain quiesce proves no
-  // reader can still hold one. Guarded by migrate_mutex_ for writers.
-  std::vector<std::unique_ptr<Router>> routers_;
-  std::atomic<const Router*> router_{nullptr};
-  std::atomic<bool> armed_{false};
+  // Partition versioning: ops load `part_` (the live snapshot) inside
+  // the gate; superseded snapshots stay in `partitions_` until a
+  // migration's second quiesce proves no operation can still hold one.
+  // Guarded by migrate_mutex_ for writers.
+  std::vector<std::unique_ptr<const partition>> partitions_;
+  std::atomic<const partition*> part_{nullptr};
   std::atomic<std::uint64_t> gate_gen_{0};
   mutable std::array<gate_stripe, gate_stripe_count> gates_{};
-  // Migration record seqlock: odd mig_seq_ = fields changing.
-  mutable std::atomic<std::uint64_t> mig_seq_{0};
-  std::atomic<bool> mig_active_{false};
-  std::atomic<key_type> rec_lo_{};
-  std::atomic<key_type> rec_hi_{};
-  std::atomic<std::uint32_t> rec_src_{0};
-  std::atomic<std::uint32_t> rec_dst_{0};
-  std::atomic<std::uint64_t> rec_gen_{0};
   // The `gen` of the last record whose first quiescence has finished.
   std::atomic<std::uint64_t> mig_ready_gen_{0};
   std::array<key_lock, key_lock_count> key_locks_{};

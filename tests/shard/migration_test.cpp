@@ -83,7 +83,6 @@ TEST(MigrationRouter, WithSplitterOnFullDomainRouter) {
 
 TEST(MigrationSequential, LoweringASplitterMovesTheSubrange) {
   shard::sharded_set<recorded_tree> set(4, 0, 4096);
-  set.arm_rebalancing();
   for (long k = 0; k < 4096; k += 3) ASSERT_TRUE(set.insert(k));
   const std::size_t before = set.size_slow();
   ASSERT_EQ(set.router().splitter(1), 1024);
@@ -106,7 +105,6 @@ TEST(MigrationSequential, LoweringASplitterMovesTheSubrange) {
 
 TEST(MigrationSequential, RaisingASplitterMovesTheSubrangeRight) {
   shard::sharded_set<recorded_tree> set(4, 0, 4096);
-  set.arm_rebalancing();
   for (long k = 0; k < 4096; k += 2) ASSERT_TRUE(set.insert(k));
   const std::size_t moved = set.migrate_splitter(2, 2560);
   EXPECT_EQ(moved, 256u);  // evens of [2048, 2560)
@@ -117,7 +115,6 @@ TEST(MigrationSequential, RaisingASplitterMovesTheSubrangeRight) {
 
 TEST(MigrationSequential, NonMonotoneTargetIsRejected) {
   shard::sharded_set<recorded_tree> set(4, 0, 4096);
-  set.arm_rebalancing();
   for (long k = 0; k < 4096; k += 7) ASSERT_TRUE(set.insert(k));
   // Targets at or beyond a neighboring splitter would make the
   // partition non-monotone; the call must refuse and change nothing.
@@ -131,7 +128,6 @@ TEST(MigrationSequential, NonMonotoneTargetIsRejected) {
 
 TEST(MigrationSequential, ScansSpanTheFlippedSplitter) {
   shard::sharded_set<recorded_tree> set(4, 0, 4096);
-  set.arm_rebalancing();
   std::vector<long> expect;
   for (long k = 0; k < 4096; k += 5) {
     ASSERT_TRUE(set.insert(k));
@@ -155,7 +151,6 @@ TEST(MigrationSequential, ScansSpanTheFlippedSplitter) {
 
 TEST(MigrationCounters, LayerCountersRecordMigrations) {
   shard::sharded_set<recorded_tree> set(4, 0, 4096);
-  set.arm_rebalancing();
   for (long k = 0; k < 2048; k += 2) ASSERT_TRUE(set.insert(k));
   EXPECT_EQ(set.migration_count(), 0u);
   EXPECT_EQ(set.keys_migrated(), 0u);
@@ -194,7 +189,6 @@ TEST(RebalancerUnit, BalancedTrafficNeverMigrates) {
   shard::rebalancer_options opts;
   opts.min_window_ops = 64;
   shard::rebalancer<shard::sharded_set<recorded_tree>> reb(set, opts);
-  EXPECT_TRUE(set.rebalancing_armed());
   for (long k = 0; k < 4096; ++k) (void)set.contains(k);
   EXPECT_EQ(reb.rebalance_once(), 0u);
   EXPECT_EQ(reb.migrations(), 0u);

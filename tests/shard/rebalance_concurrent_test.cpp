@@ -49,7 +49,6 @@ void expect_keys_match_router(Set& set, long lo, long hi_incl) {
 TEST(MigrationConcurrent, WritersAndScansRacingContinuousMigrations) {
   constexpr long kRange = 4096;
   shard::sharded_set<epoch_tree> set(4, 0, kRange);
-  set.arm_rebalancing();
   for (long k = 0; k < kRange; k += 2) ASSERT_TRUE(set.insert(k));
   const std::size_t stable = static_cast<std::size_t>(kRange) / 2;
 
@@ -125,7 +124,6 @@ TEST(MigrationConcurrent, BatchesRacingMigrationsKeepPerKeyTruth) {
   constexpr long kRange = 4096;
   constexpr unsigned kWriters = 3;
   shard::sharded_set<epoch_tree> set(4, 0, kRange);
-  set.arm_rebalancing();
 
   std::atomic<bool> stop{false};
   spin_barrier barrier(kWriters + 1);
@@ -188,7 +186,6 @@ TEST(MigrationLincheck, HistoriesStayLinearizableAcrossSplitterFlips) {
   pcg32 seed_rng(555);
   for (int round = 0; round < 150; ++round) {
     set_type set(2, 0, 16);
-    set.arm_rebalancing();
     lincheck::recorder rec;
     constexpr unsigned kThreads = 3;
     spin_barrier barrier(kThreads + 1);

@@ -163,7 +163,6 @@ TEST(ShardedDsched, ThreeThreadBatchSoupPctSweep) {
 TEST(ShardedDschedMigration, SinglesRacingSplitterMigrationExhaustive) {
   scenario sc;
   sc.setup = [](sched_sharded& t) {
-    t.arm_rebalancing();
     ASSERT_TRUE(t.insert(14));  // inside the moving subrange [12, 16)
     ASSERT_TRUE(t.insert(17));  // shard 1, outside it
   };
@@ -193,7 +192,6 @@ TEST(ShardedDschedMigration, SinglesRacingSplitterMigrationExhaustive) {
 TEST(ShardedDschedMigration, BatchAcrossMovingBoundaryExhaustive) {
   scenario sc;
   sc.setup = [](sched_sharded& t) {
-    t.arm_rebalancing();
     ASSERT_TRUE(t.insert(13));
   };
   sc.threads.push_back([](dsched::recorder<sched_sharded>& r) {
@@ -214,7 +212,6 @@ TEST(ShardedDschedMigration, BatchAcrossMovingBoundaryExhaustive) {
 TEST(ShardedDschedMigration, ScanRacingSplitterMigrationSweep) {
   scenario sc;
   sc.setup = [](sched_sharded& t) {
-    t.arm_rebalancing();
     for (int k : {10, 14, 18}) ASSERT_TRUE(t.insert(k));
   };
   sc.threads.push_back([](dsched::recorder<sched_sharded>& r) {
@@ -247,7 +244,6 @@ TEST(ShardedDschedMigration, DuelingInsertsStraddlingRecordPublishRandomWalk) {
   // varies the late steps first and never reached this interleaving
   // within budget; the walk found it in 32 of 400 seeds.
   scenario sc;
-  sc.setup = [](sched_sharded& t) { t.arm_rebalancing(); };
   for (int i = 0; i < 2; ++i) {
     sc.threads.push_back(
         [](dsched::recorder<sched_sharded>& r) { r.insert(14); });
@@ -264,7 +260,6 @@ TEST(ShardedDschedMigration, DuelingInsertsStraddlingRecordPublishRandomWalk) {
 TEST(ShardedDschedMigration, OpposingMigrationsRandomWalk) {
   scenario sc;
   sc.setup = [](sched_sharded& t) {
-    t.arm_rebalancing();
     for (int k : {14, 30, 46}) ASSERT_TRUE(t.insert(k));
   };
   sc.threads.push_back([](dsched::recorder<sched_sharded>& r) {

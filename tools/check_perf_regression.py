@@ -56,7 +56,7 @@ A fifth check gates the adaptive rebalancer when --sharded points at a
 fresh `bench_sharded --json` report:
 
   rebalance — within-report, static vs adaptive rows per workload: the
-      armed machinery must not tax the uniform case, the rebalancer
+      rebalancer thread must not tax the uniform case, the rebalancer
       must fire and flatten max-shard-share on the skewed streams, and
       (on runners with real parallelism) adaptive throughput must hold
       against static. See check_rebalance for the full contract.
@@ -415,9 +415,11 @@ def check_rebalance(sharded_path, uniform_slack, skew_slack, margin):
     because every quantity compared is a ratio of two rows measured in
     the same run on the same machine:
 
-      * uniform — the armed migration machinery (op gate, dual-routing
-        checks) must cost at most --rebalance-uniform-slack against the
-        unarmed static row: rebalancing may never tax the balanced case.
+      * uniform — every operation enters the op gate in both rows, so
+        the pair prices the rebalancer thread and any migration it
+        runs: the adaptive row must cost at most
+        --rebalance-uniform-slack against the static row (no
+        rebalancer): rebalancing may never tax the balanced case.
         Like the skewed throughput gates, this needs >= 4 hardware
         threads — on a timesliced core the extra rebalancer thread's
         scheduling alone swings wall-clock both ways by more than any
@@ -459,7 +461,7 @@ def check_rebalance(sharded_path, uniform_slack, skew_slack, margin):
         if int(static["migrations"]) != 0:
             failures.append(
                 f"rebalance: static {workload} row reports "
-                f"{static['migrations']} migrations — the unarmed "
+                f"{static['migrations']} migrations — the static "
                 f"baseline ran with rebalancing on")
         s_mops, a_mops = float(static["mops_per_sec"]), \
             float(adaptive["mops_per_sec"])
@@ -478,7 +480,7 @@ def check_rebalance(sharded_path, uniform_slack, skew_slack, margin):
                 failures.append(
                     f"rebalance: uniform adaptive {a_mops:.3f} Mops/s fell "
                     f"more than {100 * uniform_slack:.0f}% below static "
-                    f"{s_mops:.3f} — the armed op gate taxes the balanced "
+                    f"{s_mops:.3f} — the rebalancer taxes the balanced "
                     f"case")
             continue
         migrations = int(adaptive["migrations"])
