@@ -228,7 +228,7 @@ void study_multileaf(std::uint64_t millis, std::uint64_t seed,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::flags flags(argc, argv);
+  const bench::flags flags(argc, argv, {"json", "millis", "seed", "study"});
   const std::string study = flags.get("study", "all");
   const auto millis = static_cast<std::uint64_t>(flags.get_int("millis", 200));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 13));

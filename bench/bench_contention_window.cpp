@@ -103,7 +103,7 @@ window_sample adjacent_pair_throughput(std::uint64_t millis,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::flags flags(argc, argv);
+  const bench::flags flags(argc, argv, {"json", "millis", "pairs", "seed"});
   const auto millis = static_cast<std::uint64_t>(flags.get_int("millis", 300));
   const auto pairs = static_cast<std::uint64_t>(flags.get_int("pairs", 64));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 11));

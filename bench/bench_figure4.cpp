@@ -51,7 +51,9 @@ struct cell_series {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::flags flags(argc, argv);
+  const bench::flags flags(argc, argv, {
+      "csv", "extended", "full", "json", "keyrange", "millis", "runs", "seed",
+      "threads", "trace", "workload"});
   const bool full = flags.has("full");
   const bool csv_only = flags.has("csv");
   const auto millis = flags.get_int("millis", 150);

@@ -33,7 +33,8 @@ using namespace lfbst::harness;
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::flags flags(argc, argv);
+  const bench::flags flags(argc, argv, {
+      "json", "keyrange", "millis", "seed", "threads", "workload"});
   workload_config cfg;
   cfg.key_range = static_cast<std::uint64_t>(flags.get_int("keyrange", 10'000));
   cfg.threads = static_cast<unsigned>(flags.get_int("threads", 4));

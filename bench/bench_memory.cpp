@@ -72,7 +72,8 @@ std::vector<snapshot_row> churn(std::uint64_t key_range, unsigned rounds,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::flags flags(argc, argv);
+  const bench::flags flags(argc, argv, {
+      "json", "keyrange", "rounds", "threads"});
   const auto key_range =
       static_cast<std::uint64_t>(flags.get_int("keyrange", 10'000));
   const auto rounds = static_cast<unsigned>(flags.get_int("rounds", 40));

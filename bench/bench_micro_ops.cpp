@@ -38,6 +38,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <set>
 #include <string>
@@ -637,16 +638,29 @@ int run_json_mode(const lfbst::bench::flags& flags) {
   return 0;
 }
 
+void print_help() {
+  std::printf(
+      "JSON report mode: bench_micro_ops --json[=path] [--ops N] [--seed N]"
+      " [--zipf_millis N]\n\n");
+  benchmark::PrintDefaultHelp();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  // --json selects the JSON report mode and its own flags; without it
+  // google-benchmark owns the command line.
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--json", 6) == 0) {
-      return run_json_mode(lfbst::bench::flags(argc, argv));
+      return run_json_mode(lfbst::bench::flags(
+          argc, argv, {"json", "ops", "seed", "zipf_millis"}));
     }
   }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::Initialize(&argc, argv, print_help);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
+    print_help();
+    return 2;
+  }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

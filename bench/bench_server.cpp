@@ -255,7 +255,9 @@ cell_result run_cell(const mix_spec& mix, unsigned connections,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::flags flags(argc, argv);
+  const bench::flags flags(argc, argv, {
+      "connect", "connections", "csv", "json", "keyrange", "keys", "millis",
+      "mix", "pipeline", "seed", "shards", "threads"});
   const bool csv_only = flags.has("csv");
   const auto millis = flags.get_int("millis", 200);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));

@@ -209,7 +209,9 @@ rebalance_result run_rebalance_case(Set& set, std::int64_t key_range,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::flags flags(argc, argv);
+  const bench::flags flags(argc, argv, {
+      "csv", "extended", "json", "keyrange", "millis", "runs", "seed", "shards",
+      "threads"});
   const bool csv_only = flags.has("csv");
   const bool extended = flags.has("extended");
   const auto millis = flags.get_int("millis", 100);

@@ -163,7 +163,9 @@ shape_point measure_shape(Set& set, key_stream_kind kind, std::uint64_t n,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::flags flags(argc, argv);
+  const bench::flags flags(argc, argv, {
+      "json", "keyrange", "millis", "seed", "shape-n", "shape-ops",
+      "shape-shards", "streams", "thetas", "threads"});
   const auto key_range =
       static_cast<std::uint64_t>(flags.get_int("keyrange", 100'000));
   const auto thread_count =

@@ -35,7 +35,8 @@ struct shared_state {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::flags flags(argc, argv);
+  const bench::flags flags(argc, argv, {
+      "dup-pct", "events", "producers", "retention"});
   const long producers = flags.get_int("producers", 4);
   const long total_events = flags.get_int("events", 200'000);
   const long dup_pct = flags.get_int("dup-pct", 40);

@@ -37,7 +37,7 @@ struct feed_stats {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::flags flags(argc, argv);
+  const bench::flags flags(argc, argv, {"feeds", "instruments", "millis"});
   const long instruments = flags.get_int("instruments", 4096);
   const auto millis = flags.get_int("millis", 600);
   const unsigned feeds = static_cast<unsigned>(flags.get_int("feeds", 2));

@@ -50,7 +50,8 @@ int explore(const workload_config& cfg) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::flags flags(argc, argv);
+  const bench::flags flags(argc, argv, {
+      "algo", "help", "keyrange", "millis", "seed", "threads", "workload"});
   if (flags.has("help")) {
     std::printf(
         "usage: workload_explorer [--algo nm|nm-cas|nm-epoch|efrb|hj|bcco|"

@@ -49,17 +49,23 @@
 namespace lfbst {
 
 /// Fixed-block-size pool. `block_size` is fixed at construction; all
-/// allocate() calls must request at most that size. One pool instance
-/// typically serves all node types of one tree (sized to the largest).
+/// allocate() calls must request at most that size. A tree keeps one pool
+/// per node size (nm_tree: one for leaves, one for internal nodes).
 class node_pool {
  public:
   /// `block_size` is rounded up to `alignment` bytes (16 by default;
   /// cache-line-aligned node types pass alignof(node)); `slab_bytes` is
   /// how much each thread grabs from the arena at a time. Arena slabs are
   /// page-aligned, and the block size being a multiple of `alignment`
-  /// keeps every bump-allocated block aligned too.
+  /// keeps every bump-allocated block aligned too. The default slab is
+  /// one 4 KiB page: each thread that allocates holds at most one
+  /// partly used slab per pool, so a pool's slack stays under a page per
+  /// thread, and a process with many small trees (a sharded set of NM
+  /// trees keeps two pools per shard) does not pay pools x threads x a
+  /// large slab.
+  /// The arena still serves those pages out of 2 MiB huge-page chunks.
   explicit node_pool(std::size_t block_size,
-                     std::size_t slab_bytes = 1u << 16,
+                     std::size_t slab_bytes = slab_arena::page_bytes,
                      std::size_t alignment = 16)
       : block_size_(round_up(block_size, alignment < 16 ? 16 : alignment)),
         blocks_per_slab_(slab_bytes / block_size_) {

@@ -3,13 +3,17 @@
 //
 // Shape: an *external* (leaf-oriented) BST. Client keys live only in
 // leaves; internal nodes hold routing keys and always have exactly two
-// children. Three sentinel keys ∞₀ < ∞₁ < ∞₂ (greater than all client
-// keys) anchor the structure so every access path has a parent and a
-// grandparent (paper Fig. 3): the root ℝ (key ∞₂) with right child
-// leaf(∞₂), ℝ's left child 𝕊 (key ∞₁) with right child leaf(∞₁), and
-// 𝕊's left child leaf(∞₀). All client activity happens in 𝕊's left
-// subtree; ℝ and 𝕊 and the three sentinel leaves are never removed and
-// their edges toward other sentinels are never marked.
+// children. The two kinds are separate types from separate pools: a
+// leaf has no child words (a set leaf with 8-byte keys is 16 bytes), an
+// internal node has no payload (32 bytes), and an immutable kind byte
+// in the shared header says which one a node is. Three sentinel keys
+// ∞₀ < ∞₁ < ∞₂ (greater than all client keys) anchor the structure so
+// every access path has a parent and a grandparent (paper Fig. 3): the
+// root ℝ (key ∞₂) with right child leaf(∞₂), ℝ's left child 𝕊 (key ∞₁)
+// with right child leaf(∞₁), and 𝕊's left child leaf(∞₀). All client
+// activity happens in 𝕊's left subtree; ℝ and 𝕊 and the three sentinel
+// leaves are never removed and their edges toward other sentinels are
+// never marked.
 //
 // Coordination: a delete owns *edges*, not nodes. Each child word
 // carries two stolen bits (common/tagged_word.hpp):
@@ -139,11 +143,12 @@ class nm_tree
 
   static constexpr const char* algorithm_name = "NM-BST";
 
-  nm_tree() : pool_(sizeof(node)) {
+  nm_tree()
+      : leaf_pool_(sizeof(leaf_node)), internal_pool_(sizeof(internal_node)) {
     // Build the empty tree of Figure 3.
-    node* leaf_inf0 = make_leaf(skey::inf0());
-    node* leaf_inf1 = make_leaf(skey::inf1());
-    node* leaf_inf2 = make_leaf(skey::inf2());
+    leaf_node* leaf_inf0 = make_leaf(skey::inf0());
+    leaf_node* leaf_inf1 = make_leaf(skey::inf1());
+    leaf_node* leaf_inf2 = make_leaf(skey::inf2());
     s_ = make_internal(skey::inf1(), leaf_inf0, leaf_inf1);
     r_ = make_internal(skey::inf2(), s_, leaf_inf2);
   }
@@ -154,7 +159,7 @@ class nm_tree
   ~nm_tree() {
     destroy_reachable(r_);
     reclaimer_.drain_all_unsafe();
-    // pool_ releases all slabs on destruction.
+    // The pools release all slabs on destruction.
   }
 
   /// True iff `key` is in the set. Wait-free given a quiescent tree;
@@ -167,7 +172,7 @@ class nm_tree
       [[maybe_unused]] auto guard = reclaimer_.pin();
       seek_record sr;
       seek(key, sr);
-      found = less_.equal(key, sr.leaf->key);
+      found = less_.equal(key, sr.leaf->key());
     }
     stats_.on_op_end(stats::op_kind::search, found);
     return found;
@@ -232,7 +237,7 @@ class nm_tree
       [[maybe_unused]] auto guard = reclaimer_.pin();
       seek_record sr;
       seek(key, sr);
-      if (less_.equal(key, sr.leaf->key)) {
+      if (less_.equal(key, sr.leaf->key())) {
         result = sr.leaf->payload;  // leaves are immutable: safe to copy out
       }
     }
@@ -245,8 +250,8 @@ class nm_tree
   void for_each_item_slow(F&& fn) const
     requires is_map
   {
-    walk_leaves(r_, [&](const node* leaf) {
-      if (!leaf->key.is_sentinel()) fn(leaf->key.key, leaf->payload);
+    walk_leaves(r_, [&](const leaf_node* leaf) {
+      if (!leaf->key().is_sentinel()) fn(leaf->key().key, leaf->payload);
     });
   }
 
@@ -290,8 +295,8 @@ class nm_tree
   /// In-order traversal over client keys.
   template <typename F>
   void for_each_slow(F&& fn) const {
-    walk_leaves(r_, [&](const node* leaf) {
-      if (!leaf->key.is_sentinel()) fn(leaf->key.key);
+    walk_leaves(r_, [&](const leaf_node* leaf) {
+      if (!leaf->key().is_sentinel()) fn(leaf->key().key);
     });
   }
 
@@ -302,14 +307,14 @@ class nm_tree
   [[nodiscard]] std::string validate() const {
     std::string err;
     // Sentinel anchoring (Fig. 3).
-    if (r_->key.rank != 3) err += "root key is not inf2; ";
+    if (r_->key().rank != 3) err += "root key is not inf2; ";
     if (s_ != r_->left.load().address()) err += "S is not R.left; ";
     const node* r_right = r_->right.load().address();
-    if (r_right == nullptr || r_right->key.rank != 3) {
+    if (r_right == nullptr || !r_right->is_leaf || r_right->key().rank != 3) {
       err += "R.right is not leaf(inf2); ";
     }
     const node* s_right = s_->right.load().address();
-    if (s_right == nullptr || s_right->key.rank != 2) {
+    if (s_right == nullptr || !s_right->is_leaf || s_right->key().rank != 2) {
       err += "S.right is not leaf(inf1); ";
     }
     validate_subtree(r_, /*low=*/nullptr, /*high=*/nullptr, err);
@@ -319,10 +324,10 @@ class nm_tree
   /// Depth of the deepest leaf (diagnostics).
   [[nodiscard]] std::size_t height_slow() const { return height_of(r_); }
 
-  /// Bytes currently held by the node pool (includes unreclaimed nodes —
-  /// under the leaky policy this is the paper's memory regime).
+  /// Bytes currently held by the two node pools (includes unreclaimed
+  /// nodes — under the leaky policy this is the paper's memory regime).
   [[nodiscard]] std::size_t footprint_bytes() const {
-    return pool_.footprint_bytes();
+    return leaf_pool_.footprint_bytes() + internal_pool_.footprint_bytes();
   }
 
   /// Retired-but-unreclaimed node count of the reclaimer (0 for leaky).
@@ -341,29 +346,82 @@ class nm_tree
 
   using skey = sentinel_key<Key>;
 
-  struct node {
-    skey key;
-    // Empty for sets ([[no_unique_address]] erases the member); the
-    // mapped value for maps, set at construction and immutable while the
-    // leaf is published.
-    [[no_unique_address]] payload_t payload;
-    tagged_word<node, Atomics> left;
-    tagged_word<node, Atomics> right;
+  /// The header both node kinds start with, and the type child words
+  /// address: the sentinel-extended key plus the node's kind. Deriving
+  /// from sentinel_key lets the ABI put `is_leaf` in the key's tail
+  /// padding, so the header is no larger than the key. The kind is
+  /// written once, before the node is published, and never changes, so
+  /// a descent reads it instead of loading a child word and testing for
+  /// null (the paper's leaf test) — a leaf has no child words to load.
+  struct node : skey {
+    node(skey k, bool leaf) : skey(std::move(k)), is_leaf(leaf) {}
+    const bool is_leaf;
+    [[nodiscard]] const skey& key() const noexcept { return *this; }
   };
   using ptr_t = tagged_ptr<node>;
   using word_t = tagged_word<node, Atomics>;
 
+  /// A leaf: the key and, for maps, the mapped value, set at
+  /// construction and immutable while the leaf is published. Empty for
+  /// sets ([[no_unique_address]] erases the member).
+  struct leaf_node : node {
+    leaf_node(skey k, payload_t p) : node(std::move(k), true),
+                                     payload(std::move(p)) {}
+    [[no_unique_address]] payload_t payload;
+  };
+
+  /// An internal node: a routing key and the two CAS-able child words.
+  struct internal_node : node {
+    internal_node(skey k, node* l, node* r) : node(std::move(k), false) {
+      left.store_relaxed(ptr_t::clean(l));
+      right.store_relaxed(ptr_t::clean(r));
+    }
+    /// Re-keys and re-links a node that is not yet published (insert
+    /// reuses its scratch node across retries). Assigns through the
+    /// sentinel_key base, which leaves `is_leaf` as it is.
+    void rewire(skey k, node* l, node* r) {
+      static_cast<skey&>(*this) = std::move(k);
+      left.store_relaxed(ptr_t::clean(l));
+      right.store_relaxed(ptr_t::clean(r));
+    }
+    word_t left;
+    word_t right;
+  };
+
   static_assert(alignof(node) >= 4,
                 "node must be 4-byte aligned to steal two pointer bits");
+  static_assert(sizeof(skey) == sizeof(Key) + 1 ||
+                    sizeof(node) == sizeof(skey),
+                "the kind byte must live in sentinel_key's tail padding");
+  static_assert(is_map || sizeof(leaf_node) == sizeof(node),
+                "a set leaf is exactly the node header");
+  static_assert(sizeof(internal_node) ==
+                    (sizeof(node) + alignof(word_t) - 1) / alignof(word_t) *
+                            alignof(word_t) +
+                        2 * sizeof(word_t),
+                "an internal node is the header plus two child words");
+
+  static internal_node* as_internal(node* n) noexcept {
+    return static_cast<internal_node*>(n);
+  }
+  static const internal_node* as_internal(const node* n) noexcept {
+    return static_cast<const internal_node*>(n);
+  }
+  static leaf_node* as_leaf(node* n) noexcept {
+    return static_cast<leaf_node*>(n);
+  }
+  static const leaf_node* as_leaf(const node* n) noexcept {
+    return static_cast<const leaf_node*>(n);
+  }
 
   /// The seek record of Alg. 1: the last two nodes of the access path
   /// plus the tail (ancestor) and head (successor) of the last untagged
-  /// edge before the parent (Fig. 2).
+  /// edge before the parent (Fig. 2). Only `leaf` is a leaf.
   struct seek_record {
-    node* ancestor = nullptr;
-    node* successor = nullptr;
-    node* parent = nullptr;
-    node* leaf = nullptr;
+    internal_node* ancestor = nullptr;
+    internal_node* successor = nullptr;
+    internal_node* parent = nullptr;
+    leaf_node* leaf = nullptr;
     // The word of the (ancestor → successor) edge. Maintained by the
     // validated descent only, which re-reads it to prove a region
     // reached over marked edges was not yet excised.
@@ -383,17 +441,16 @@ class nm_tree
   bool erase_impl(const Key& key) {
     [[maybe_unused]] auto guard = reclaimer_.pin();
     seek_record sr;
-    bool injected = false;  // INJECTION vs CLEANUP mode
-    node* leaf = nullptr;   // the leaf we flagged, once injected
+    bool injected = false;     // INJECTION vs CLEANUP mode
+    leaf_node* leaf = nullptr;  // the leaf we flagged, once injected
     [[maybe_unused]] backoff delay;
     seek(key, sr);
     for (;;) {
       if (!injected) {
         // --- injection mode ---
         leaf = sr.leaf;
-        if (!less_.equal(key, leaf->key)) return false;  // key absent
-        node* parent = sr.parent;
-        word_t& child_field = child_field_for(parent, key);
+        if (!less_.equal(key, leaf->key())) return false;  // key absent
+        word_t& child_field = child_field_for(sr.parent, key);
         ptr_t expected = ptr_t::clean(leaf);
         stats_.on_cas();
         if (child_field.compare_exchange(
@@ -453,14 +510,16 @@ class nm_tree
   bool insert_impl(const Key& key, payload_t value, bool assign_if_present) {
     [[maybe_unused]] auto guard = reclaimer_.pin();
     seek_record sr;
-    node* new_leaf = nullptr;      // scratch nodes, reused across retries;
-    node* new_internal = nullptr;  // never published until a CAS wins
+    // Scratch nodes, reused across retries; never published until a CAS
+    // wins.
+    leaf_node* new_leaf = nullptr;
+    internal_node* new_internal = nullptr;
     [[maybe_unused]] backoff delay;
     seek(key, sr);
     for (;;) {
-      node* parent = sr.parent;
-      node* leaf = sr.leaf;
-      if (less_.equal(key, leaf->key)) {
+      internal_node* parent = sr.parent;
+      leaf_node* leaf = sr.leaf;
+      if (less_.equal(key, leaf->key())) {
         if (!assign_if_present) {
           // Key already present. Return any speculatively allocated
           // nodes (never published, so the pool reuses them directly).
@@ -477,9 +536,7 @@ class nm_tree
         ptr_t expected = ptr_t::clean(leaf);
         stats_.on_cas();
         if (child_field.compare_exchange(expected, ptr_t::clean(new_leaf))) {
-          if constexpr (Reclaimer::reclaims_eagerly) {
-            reclaimer_.retire(leaf, &node_deleter, &pool_);
-          }
+          if constexpr (Reclaimer::reclaims_eagerly) retire_node(leaf);
           if (new_internal != nullptr) destroy_node(new_internal);
           return false;  // assigned, not inserted
         }
@@ -502,16 +559,12 @@ class nm_tree
         new_internal = make_internal(skey{}, nullptr, nullptr);
       }
       // (Re)wire the unpublished internal node for this attempt:
-      // key field = max(key, leaf->key); the new leaf sits on the side
+      // routing key = max(key, leaf's key); the new leaf sits on the side
       // its key belongs, the existing leaf on the other (paper §3.2.3).
-      if (less_(key, leaf->key)) {
-        new_internal->key = leaf->key;
-        new_internal->left.store_relaxed(ptr_t::clean(new_leaf));
-        new_internal->right.store_relaxed(ptr_t::clean(leaf));
+      if (less_(key, leaf->key())) {
+        new_internal->rewire(leaf->key(), new_leaf, leaf);
       } else {
-        new_internal->key = skey(key);
-        new_internal->left.store_relaxed(ptr_t::clean(leaf));
-        new_internal->right.store_relaxed(ptr_t::clean(new_leaf));
+        new_internal->rewire(skey(key), leaf, new_leaf);
       }
 
       ptr_t expected = ptr_t::clean(leaf);
@@ -535,32 +588,44 @@ class nm_tree
 
   // --- node lifecycle -------------------------------------------------
 
-  node* make_leaf(skey k, payload_t payload = payload_t{}) {
+  leaf_node* make_leaf(skey k, payload_t payload = payload_t{}) {
     stats_.on_alloc();
-    void* mem = pool_.allocate(sizeof(node));
-    node* n = new (mem) node{std::move(k), std::move(payload), {}, {}};
-    return n;
+    return new (leaf_pool_.allocate(sizeof(leaf_node)))
+        leaf_node(std::move(k), std::move(payload));
   }
 
-  node* make_internal(skey k, node* left, node* right) {
+  internal_node* make_internal(skey k, node* left, node* right) {
     stats_.on_alloc();
-    void* mem = pool_.allocate(sizeof(node));
-    node* n = new (mem) node{std::move(k), payload_t{}, {}, {}};
-    n->left.store_relaxed(ptr_t::clean(left));
-    n->right.store_relaxed(ptr_t::clean(right));
-    return n;
+    return new (internal_pool_.allocate(sizeof(internal_node)))
+        internal_node(std::move(k), left, right);
   }
 
-  /// Immediate destruction — only for nodes that were never published.
+  /// Immediate destruction — only for unpublished nodes and, at tree
+  /// destruction, for the reachable ones.
   void destroy_node(node* n) {
-    n->~node();
-    pool_.deallocate(n);
+    if (n->is_leaf) {
+      node_deleter<leaf_node>(n, &leaf_pool_);
+    } else {
+      node_deleter<internal_node>(n, &internal_pool_);
+    }
   }
 
+  /// Hands an unlinked node to the reclaimer with the deleter and pool
+  /// of its kind.
+  void retire_node(node* n) {
+    if (n->is_leaf) {
+      reclaimer_.retire(n, &node_deleter<leaf_node>, &leaf_pool_);
+    } else {
+      reclaimer_.retire(n, &node_deleter<internal_node>, &internal_pool_);
+    }
+  }
+
+  /// `obj` is the node* that was retired; `ctx` the pool of its kind.
+  template <typename Kind>
   static void node_deleter(void* obj, void* ctx) noexcept {
-    auto* n = static_cast<node*>(obj);
-    n->~node();
-    static_cast<node_pool*>(ctx)->deallocate(obj);
+    auto* n = static_cast<Kind*>(static_cast<node*>(obj));
+    n->~Kind();
+    static_cast<node_pool*>(ctx)->deallocate(n);
   }
 
   // --- traversal ------------------------------------------------------
@@ -568,8 +633,8 @@ class nm_tree
   /// Child field of `parent` on the side `key` belongs (left iff
   /// key < parent.key — ties go right, matching the paper's BST
   /// property (b): right subtree holds keys >= node key).
-  word_t& child_field_for(node* parent, const Key& key) const {
-    return less_(key, parent->key) ? parent->left : parent->right;
+  word_t& child_field_for(internal_node* parent, const Key& key) const {
+    return less_(key, parent->key()) ? parent->left : parent->right;
   }
 
   /// Dispatches to the plain Alg. 1 seek, or — when the reclaimer needs
@@ -614,8 +679,8 @@ class nm_tree
   /// stepped *through*), so resuming the descent below it is
   /// well-formed. Returns false when the anchor no longer holds.
   bool try_seek_from_anchor(const Key& key, seek_record& sr) const {
-    node* anchor = sr.ancestor;
-    node* successor = sr.successor;
+    internal_node* anchor = sr.ancestor;
+    internal_node* successor = sr.successor;
     const word_t& anchor_edge = child_field_for(anchor, key);
     const ptr_t edge = anchor_edge.load();
     if (edge.marked() || edge.address() != successor) return false;
@@ -656,7 +721,9 @@ class nm_tree
 
   /// Key routing for the validated descent: left iff key < node key.
   auto toward(const Key& key) const {
-    return [this, &key](const node* n) { return less_(key, n->key); };
+    return [this, &key](const internal_node* n) {
+      return less_(key, n->key());
+    };
   }
 
   /// One validated-descent attempt — the only one this tree has: key
@@ -708,7 +775,7 @@ class nm_tree
       const ptr_t a = sr.anchor_edge->load(std::memory_order_seq_cst);
       return !a.marked() && a.address() == sr.successor;
     };
-    const auto note_turn = [&](node* at) {
+    const auto note_turn = [&](internal_node* at) {
       // All three are announced in descent slots right now, so the
       // copy-announces are safe.
       turn->ancestor = sr.ancestor;
@@ -720,33 +787,33 @@ class nm_tree
       dom.announce(Reclaimer::hp_scan_turn_successor, sr.successor);
     };
 
-    bool step_left = route(sr.parent);
-    const word_t* parent_source =
-        step_left ? &sr.parent->left : &sr.parent->right;
+    internal_node* parent = sr.parent;  // protected by hp_parent
+    bool step_left = route(parent);
+    const word_t* parent_source = step_left ? &parent->left : &parent->right;
     // Discovery load: acquire suffices — the candidate is not
     // dereferenced until the announce below is validated by the seq_cst
     // recheck, and it is that recheck (not this load) that must order
     // after the announcement store.
     ptr_t parent_field = parent_source->load(std::memory_order_acquire);
-    node* candidate = parent_field.address();  // sr.parent is internal
-    dom.announce(Reclaimer::hp_leaf, candidate);
+    node* at = parent_field.address();
+    dom.announce(Reclaimer::hp_leaf, at);
     // Validating re-read: seq_cst so it cannot be reordered before the
     // seq_cst announce store above — the store-load pair guarantees any
     // concurrent retirer's scan sees the announcement.
     ptr_t recheck = parent_source->load(std::memory_order_seq_cst);
-    if (recheck.address() != candidate) return ptr_t();  // edge moved
+    if (recheck.address() != at) return ptr_t();  // edge moved
     parent_field = recheck;
     if (parent_field.marked() && !anchor_holds()) return ptr_t();
-    if (step_left && turn != nullptr) note_turn(sr.parent);
-    sr.leaf = candidate;
+    if (step_left && turn != nullptr) note_turn(parent);
 
-    step_left = route(sr.leaf);
-    const word_t* current_source =
-        step_left ? &sr.leaf->left : &sr.leaf->right;
-    // Discovery load (validated by the in-loop recheck): acquire.
-    ptr_t current_field = current_source->load(std::memory_order_acquire);
-    node* current = current_field.address();
-    while (current != nullptr) {
+    // `at` (protected by hp_leaf) is validated, so its kind may be read.
+    while (!at->is_leaf) {
+      internal_node* in = as_internal(at);
+      step_left = route(in);
+      const word_t* current_source = step_left ? &in->left : &in->right;
+      // Discovery load (validated by the recheck below): acquire.
+      ptr_t current_field = current_source->load(std::memory_order_acquire);
+      node* current = current_field.address();
       if constexpr (Stats::enabled) ++depth;
       // Overlap the next node's cache miss with this iteration's
       // announce/validate bookkeeping — the descent is a dependent-load
@@ -758,29 +825,26 @@ class nm_tree
       if (recheck.address() != current) return ptr_t();
       current_field = recheck;
       if (!parent_field.tagged()) {
-        sr.ancestor = sr.parent;  // protected by hp_parent
-        sr.successor = sr.leaf;   // protected by hp_leaf
+        sr.ancestor = parent;  // protected by hp_parent
+        sr.successor = in;     // protected by hp_leaf
         sr.anchor_edge = parent_source;
-        // `depth` has already counted the step below sr.leaf, which is
+        // `depth` has already counted the step below `in`, which is
         // exactly where a resume from this edge restarts its walk.
         if constexpr (Stats::enabled) sr.anchor_depth = depth;
         dom.announce(Reclaimer::hp_ancestor, sr.ancestor);
         dom.announce(Reclaimer::hp_successor, sr.successor);
       }
       if (current_field.marked() && !anchor_holds()) return ptr_t();
-      if (step_left && turn != nullptr) note_turn(sr.leaf);
-      sr.parent = sr.leaf;  // protected by hp_leaf
-      dom.announce(Reclaimer::hp_parent, sr.parent);
-      sr.leaf = current;  // protected by hp_scratch
-      dom.announce(Reclaimer::hp_leaf, current);
+      if (step_left && turn != nullptr) note_turn(in);
+      parent = in;  // protected by hp_leaf
+      dom.announce(Reclaimer::hp_parent, parent);
+      at = current;  // protected by hp_scratch
+      dom.announce(Reclaimer::hp_leaf, at);
       parent_field = current_field;
       parent_source = current_source;
-      step_left = route(current);
-      current_source = step_left ? &current->left : &current->right;
-      // Discovery load (validated on the next iteration): acquire.
-      current_field = current_source->load(std::memory_order_acquire);
-      current = current_field.address();
     }
+    sr.parent = parent;
+    sr.leaf = as_leaf(at);
     if constexpr (Stats::enabled) {
       if (base_depth.has_value()) stats_.on_seek(depth);
     }
@@ -796,41 +860,44 @@ class nm_tree
 
   /// Alg. 1 generalized to start from any (anchor → successor) edge on
   /// the access path — the root seek passes (ℝ, 𝕊); the anchored retry
-  /// passes a just-validated recorded edge. `successor` must be an
-  /// internal node (every recorded successor is: it was stepped
-  /// through), so its child toward `key` is non-null.
-  void seek_plain_from(node* anchor, node* successor, const Key& key,
-                       seek_record& sr, std::uint64_t base_depth = 0) const {
-    sr.ancestor = anchor;     // line 15
-    sr.successor = successor; // line 16
-    sr.parent = successor;    // line 17
+  /// passes a just-validated recorded edge. `successor` is an internal
+  /// node (every recorded successor is: it was stepped through). The
+  /// paper finds the leaf by loading its null child word (line 22); the
+  /// descent here reads the node's kind instead, and loads no word of a
+  /// leaf.
+  void seek_plain_from(internal_node* anchor, internal_node* successor,
+                       const Key& key, seek_record& sr,
+                       std::uint64_t base_depth = 0) const {
+    sr.ancestor = anchor;              // line 15
+    sr.successor = successor;          // line 16
+    internal_node* parent = successor; // line 17
     if constexpr (Stats::enabled) sr.anchor_depth = base_depth;
     // line 19 (value of the edge successor→leaf)
     ptr_t parent_field = child_field_for(successor, key).load();
-    sr.leaf = parent_field.address();  // line 18
-    ptr_t current_field = child_field_for(sr.leaf, key).load();  // line 20
-    node* current = current_field.address();                     // line 21
+    node* at = parent_field.address();  // line 18
     [[maybe_unused]] std::uint64_t depth = base_depth;
-    while (current != nullptr) {  // line 22 — leaf reached when null
+    while (!at->is_leaf) {  // line 22
+      internal_node* in = as_internal(at);
+      const ptr_t current_field = child_field_for(in, key).load();  // line 20
+      node* current = current_field.address();                     // line 21
       if constexpr (Stats::enabled) ++depth;
       // Overlap the next node's cache miss with this iteration's
       // bookkeeping: the descent is a dependent-load chain the hardware
       // prefetcher cannot run ahead of.
       prefetch_ro(current);
       if (!parent_field.tagged()) {  // line 23
-        sr.ancestor = sr.parent;     // line 24
-        sr.successor = sr.leaf;      // line 25
+        sr.ancestor = parent;        // line 24
+        sr.successor = in;           // line 25
         // Depth of the new anchor edge: a resume restarts exactly at
         // the step this iteration just counted.
         if constexpr (Stats::enabled) sr.anchor_depth = depth;
       }
-      sr.parent = sr.leaf;  // line 26
-      sr.leaf = current;    // line 27
+      parent = in;                   // line 26
+      at = current;                  // line 27
       parent_field = current_field;  // line 28
-      current_field = less_(key, current->key) ? current->left.load()
-                                               : current->right.load();
-      current = current_field.address();  // line 32
     }
+    sr.parent = parent;
+    sr.leaf = as_leaf(at);
     if constexpr (Stats::enabled) stats_.on_seek(depth);
   }
 
@@ -843,9 +910,9 @@ class nm_tree
   /// call's ancestor CAS performed the removal.
   bool cleanup(const Key& key, const seek_record& sr) {
     stats_.on_cleanup();
-    node* ancestor = sr.ancestor;  // line 90
-    node* successor = sr.successor;
-    node* parent = sr.parent;
+    internal_node* ancestor = sr.ancestor;  // line 90
+    internal_node* successor = sr.successor;
+    internal_node* parent = sr.parent;
 
     // Address of the ancestor's child field to swing (lines 94-96).
     word_t& successor_field = child_field_for(ancestor, key);
@@ -853,7 +920,7 @@ class nm_tree
     // Child and sibling fields of the parent (lines 97-102).
     word_t* child_field;
     word_t* sibling_field;
-    if (less_(key, parent->key)) {
+    if (less_(key, parent->key())) {
       child_field = &parent->left;
       sibling_field = &parent->right;
     } else {
@@ -912,14 +979,13 @@ class nm_tree
   /// retire_excised; only runs when a Stats policy wants on_excision.
   std::uint64_t count_excised(const node* n, const node* keep) const {
     if (n == keep) return 0;
-    const node* l = n->left.load(std::memory_order_acquire).address();
-    const node* r = n->right.load(std::memory_order_acquire).address();
-    std::uint64_t total = 1;
-    if (l != nullptr) {
-      total += count_excised(l, keep);
-      total += count_excised(r, keep);
-    }
-    return total;
+    if (n->is_leaf) return 1;
+    const internal_node* in = as_internal(n);
+    return 1 +
+           count_excised(in->left.load(std::memory_order_acquire).address(),
+                         keep) +
+           count_excised(in->right.load(std::memory_order_acquire).address(),
+                         keep);
   }
 
   /// Retires every node of the detached region rooted at `n`, except the
@@ -928,13 +994,13 @@ class nm_tree
   /// each carrying one flagged leaf, terminated by `keep`'s old parent.
   void retire_excised(node* n, node* keep) {
     if (n == keep) return;
-    node* l = n->left.load(std::memory_order_acquire).address();
-    node* r = n->right.load(std::memory_order_acquire).address();
-    if (l != nullptr) {  // internal node: recurse into the frozen region
-      retire_excised(l, keep);
-      retire_excised(r, keep);
+    if (!n->is_leaf) {  // recurse into the frozen region
+      internal_node* in = as_internal(n);
+      retire_excised(in->left.load(std::memory_order_acquire).address(), keep);
+      retire_excised(in->right.load(std::memory_order_acquire).address(),
+                     keep);
     }
-    reclaimer_.retire(n, &node_deleter, &pool_);
+    retire_node(n);
   }
 
   // --- concurrent ordered scans ----------------------------------------
@@ -974,31 +1040,41 @@ class nm_tree
   void scan_pinned(const Key* lo, const Key* hi, bool closed,
                    Emit& emit) const {
     std::vector<ptr_t> stack;
-    stack.push_back(ptr_t::clean(r_));
-    while (!stack.empty()) {
-      const ptr_t edge = stack.back();
-      stack.pop_back();
-      node* n = edge.address();
-      const ptr_t left = n->left.load();
-      if (left.address() == nullptr) {
-        // Leaf. A flagged incoming edge means a delete linearized
-        // against this key (possibly before the scan began): it is
-        // logically absent and must not appear.
-        if (!edge.flagged() && !n->key.is_sentinel() &&
-            this->in_range(n->key.key, lo, hi, closed) && !emit(n->key.key)) {
+    ptr_t edge = ptr_t::clean(r_);
+    for (;;) {
+      const node* n = edge.address();
+      const skey& k = n->key();
+      if (n->is_leaf) {
+        // A flagged incoming edge means a delete linearized against
+        // this key (possibly before the scan began): it is logically
+        // absent and must not appear.
+        if (!edge.flagged() && !k.is_sentinel() &&
+            this->in_range(k.key, lo, hi, closed) && !emit(k.key)) {
           return;  // visitor filled its budget
         }
-        continue;
+      } else {
+        // Internal: prune on the immutable routing key. The walk goes
+        // on into the left subtree and stacks the right one, so the
+        // left subtree drains first (leaf-only in-order).
+        const internal_node* in = as_internal(n);
+        const ptr_t left = in->left.load();
+        const bool go_left = lo == nullptr || less_(*lo, k);
+        if (hi == nullptr || (closed ? !less_(*hi, k) : less_(k, *hi))) {
+          const ptr_t right = in->right.load();
+          if (!go_left) {
+            edge = right;
+            continue;
+          }
+          stack.push_back(right);
+        }
+        if (go_left) {
+          edge = left;
+          continue;
+        }
       }
-      // Internal: prune on the immutable routing key; push right below
-      // left so the left subtree drains first (leaf-only in-order).
-      if (hi == nullptr ||
-          (closed ? !less_(*hi, n->key) : less_(n->key, *hi))) {
-        stack.push_back(n->right.load());
-      }
-      if (lo == nullptr || less_(*lo, n->key)) {
-        stack.push_back(left);
-      }
+      if (stack.empty()) return;
+      edge = stack.back();
+      stack.pop_back();
     }
   }
 
@@ -1016,16 +1092,16 @@ class nm_tree
     // Leftmost leaf with key >= cursor routes exactly like a point seek
     // for `cursor`: left iff cursor < node key. (Strictness does not
     // change the routing, only the acceptance test below.)
-    const auto toward_cursor = [&](const node* n) {
-      return cursor == nullptr || less_(*cursor, n->key);
+    const auto toward_cursor = [&](const internal_node* n) {
+      return cursor == nullptr || less_(*cursor, n->key());
     };
     seek_record sr = root_record();
     seek_record turn;
     ptr_t landed = seek_protected_from(toward_cursor, sr, &turn);
     if (landed.address() == nullptr) return {};
     const bool satisfied =
-        cursor == nullptr || (inclusive ? !less_(sr.leaf->key, *cursor)
-                                        : less_(*cursor, sr.leaf->key));
+        cursor == nullptr || (inclusive ? !less_(sr.leaf->key(), *cursor)
+                                        : less_(*cursor, sr.leaf->key()));
     if (!satisfied) {
       // Every left subtree skipped below the turn holds only keys <=
       // cursor. A turn always exists: every client cursor routes left
@@ -1033,7 +1109,7 @@ class nm_tree
       LFBST_ASSERT(turn.parent != nullptr,
                    "cursor-routed descent took no left turn");
       bool at_turn = true;
-      const auto min_right = [&at_turn](const node*) {
+      const auto min_right = [&at_turn](const internal_node*) {
         const bool left = !at_turn;
         at_turn = false;
         return left;
@@ -1042,7 +1118,7 @@ class nm_tree
       landed = seek_protected_from(min_right, sr);
       if (landed.address() == nullptr) return {};
     }
-    const skey& found = sr.leaf->key;
+    const skey& found = sr.leaf->key();
     if (found.is_sentinel()) return {.validated = true};  // past the last key
     if (!landed.flagged()) emit(found.key);
     return {.validated = true, .next = found.key, .next_inclusive = false};
@@ -1055,33 +1131,31 @@ class nm_tree
   /// overflow the call stack if these walks recursed.
   template <typename F>
   void walk_leaves(const node* root, F&& fn) const {
-    std::vector<const node*> stack;
-    const node* n = root;
-    while (n != nullptr || !stack.empty()) {
-      while (n != nullptr) {
-        stack.push_back(n);
-        n = n->left.load(std::memory_order_relaxed).address();
-      }
-      const node* top = stack.back();
+    std::vector<const node*> stack{root};
+    while (!stack.empty()) {
+      const node* n = stack.back();
       stack.pop_back();
-      if (top->left.load(std::memory_order_relaxed).address() == nullptr) {
-        fn(top);
+      if (n->is_leaf) {
+        fn(as_leaf(n));
+        continue;
       }
-      n = top->right.load(std::memory_order_relaxed).address();
+      // Right below left, so the left subtree's leaves come first.
+      stack.push_back(as_internal(n)->right.load(std::memory_order_relaxed)
+                          .address());
+      stack.push_back(as_internal(n)->left.load(std::memory_order_relaxed)
+                          .address());
     }
   }
 
   void destroy_reachable(node* root) {
-    if (root == nullptr) return;
     std::vector<node*> stack{root};
     while (!stack.empty()) {
       node* n = stack.back();
       stack.pop_back();
-      if (node* l = n->left.load(std::memory_order_relaxed).address()) {
-        stack.push_back(l);
-      }
-      if (node* r = n->right.load(std::memory_order_relaxed).address()) {
-        stack.push_back(r);
+      if (!n->is_leaf) {
+        internal_node* in = as_internal(n);
+        stack.push_back(in->left.load(std::memory_order_relaxed).address());
+        stack.push_back(in->right.load(std::memory_order_relaxed).address());
       }
       destroy_node(n);
     }
@@ -1093,11 +1167,12 @@ class nm_tree
     while (!stack.empty()) {
       auto [n, depth] = stack.back();
       stack.pop_back();
-      if (n == nullptr) continue;
       best = std::max(best, depth);
-      stack.push_back({n->left.load(std::memory_order_relaxed).address(),
+      if (n->is_leaf) continue;
+      const internal_node* in = as_internal(n);
+      stack.push_back({in->left.load(std::memory_order_relaxed).address(),
                        depth + 1});
-      stack.push_back({n->right.load(std::memory_order_relaxed).address(),
+      stack.push_back({in->right.load(std::memory_order_relaxed).address(),
                        depth + 1});
     }
     return best;
@@ -1114,30 +1189,28 @@ class nm_tree
     while (!stack.empty()) {
       auto [n, low, high] = stack.back();
       stack.pop_back();
-      ptr_t lw = n->left.load(std::memory_order_relaxed);
-      ptr_t rw = n->right.load(std::memory_order_relaxed);
+      // Order bounds (paper §2 properties (a)/(b)): left subtree keys
+      // strictly below the node key, right subtree keys at or above.
+      if (low != nullptr && sless(n->key(), *low)) {
+        err += "key below low bound; ";
+      }
+      if (high != nullptr && !sless(n->key(), *high)) {
+        err += "key not below high bound; ";
+      }
+      if (n->is_leaf) continue;
+      const internal_node* in = as_internal(n);
+      const ptr_t lw = in->left.load(std::memory_order_relaxed);
+      const ptr_t rw = in->right.load(std::memory_order_relaxed);
       if (lw.marked() || rw.marked()) {
         err += "reachable marked edge at quiescence; ";
       }
-      const node* l = lw.address();
-      const node* r = rw.address();
-      if ((l == nullptr) != (r == nullptr)) {
-        err += "internal node with exactly one child (external shape "
+      if (lw.address() == nullptr || rw.address() == nullptr) {
+        err += "internal node with a null child (external shape "
                "violated); ";
         continue;
       }
-      // Order bounds (paper §2 properties (a)/(b)): left subtree keys
-      // strictly below the node key, right subtree keys at or above.
-      if (low != nullptr && sless(n->key, *low)) {
-        err += "key below low bound; ";
-      }
-      if (high != nullptr && !sless(n->key, *high)) {
-        err += "key not below high bound; ";
-      }
-      if (l != nullptr) {
-        stack.push_back({l, low, &n->key});
-        stack.push_back({r, &n->key, high});
-      }
+      stack.push_back({lw.address(), low, &n->key()});
+      stack.push_back({rw.address(), &n->key(), high});
     }
   }
 
@@ -1161,10 +1234,11 @@ class nm_tree
   // carry per-instance state; for the stateless stats::none policy
   // the member is empty and the calls resolve to the static no-ops.
   [[no_unique_address]] mutable Stats stats_{};
-  node_pool pool_;
+  node_pool leaf_pool_;
+  node_pool internal_pool_;
   mutable Reclaimer reclaimer_{};
-  node* r_ = nullptr;  // ℝ: root sentinel, key ∞₂ — never removed
-  node* s_ = nullptr;  // 𝕊: ℝ's left child, key ∞₁ — never removed
+  internal_node* r_ = nullptr;  // ℝ: root sentinel, key ∞₂; never removed
+  internal_node* s_ = nullptr;  // 𝕊: ℝ's left child, key ∞₁; never removed
 };
 
 }  // namespace lfbst

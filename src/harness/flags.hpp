@@ -1,10 +1,18 @@
 // lfbst: tiny shared flag parser for the reproduction binaries and
 // example applications. No dependency
 // beyond the standard library; flags are --name=value or --name value.
+//
+// A binary that names the flags it reads gets `--help` (print them,
+// exit 0) and a check for misspelt flags (print usage to stderr, exit
+// 2) before it starts any work:
+//
+//   const bench::flags flags(argc, argv, {"threads", "millis", "json"});
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -14,6 +22,52 @@ class flags {
  public:
   flags(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) args_.emplace_back(argv[i]);
+  }
+
+  /// As above, for a binary that reads exactly the flags in `known`.
+  /// `--help` prints them to stdout and exits 0; any other `--name` not
+  /// in `known` prints them to stderr and exits 2.
+  flags(int argc, char** argv, std::initializer_list<const char*> known)
+      : flags(argc, argv) {
+    const std::string prog = argc > 0 ? argv[0] : "prog";
+    const std::string bad = unknown_flag(known);
+    if (bad == "help") {
+      std::fputs(usage(prog, known).c_str(), stdout);
+      std::exit(0);
+    }
+    if (!bad.empty()) {
+      std::fprintf(stderr, "%s: unknown flag --%s\n%s", prog.c_str(),
+                   bad.c_str(), usage(prog, known).c_str());
+      std::exit(2);
+    }
+  }
+
+  /// The first `--name` argument whose name is not in `known` ("help"
+  /// when `--help` comes first), or "" when every flag is known.
+  [[nodiscard]] std::string unknown_flag(
+      std::initializer_list<const char*> known) const {
+    for (const std::string& arg : args_) {
+      if (arg.size() <= 2 || arg.rfind("--", 0) != 0) continue;
+      const std::string name = arg.substr(2, arg.find('=') - 2);
+      bool found = false;
+      for (const char* k : known) found = found || name == k;
+      if (!found) return name;
+    }
+    return "";
+  }
+
+  /// The usage text: one line per flag in `known`, then --help.
+  [[nodiscard]] static std::string usage(
+      const std::string& prog, std::initializer_list<const char*> known) {
+    std::string out =
+        "usage: " + prog + " [--flag=value | --flag value]...\nflags:\n";
+    bool help_listed = false;
+    for (const char* k : known) {
+      out += std::string("  --") + k + "\n";
+      help_listed = help_listed || std::string(k) == "help";
+    }
+    if (!help_listed) out += "  --help\n";
+    return out;
   }
 
   [[nodiscard]] bool has(const std::string& name) const {

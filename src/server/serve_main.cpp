@@ -291,7 +291,11 @@ int run_server(const lfbst::bench::flags& flags,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const lfbst::bench::flags flags(argc, argv);
+  const lfbst::bench::flags flags(argc, argv, {
+      "drain-ms", "flight-capacity", "flight-file", "flight-ms", "heatmap-hi",
+      "heatmap-lo", "host", "json", "metrics-port", "numa", "port", "rebalance",
+      "rebalance-ms", "rebalance-threshold-pct", "scan-page", "scramble",
+      "shards", "telemetry-ms", "threads"});
   lfbst::server::server_config cfg;
   cfg.host = flags.get("host", "127.0.0.1");
   cfg.port = static_cast<std::uint16_t>(flags.get_int("port", 7171));

@@ -101,24 +101,28 @@ class rebalancer {
 
   /// One decision cycle, synchronously: diff the per-shard op windows,
   /// migrate if the imbalance trigger trips. Returns keys moved (0:
-  /// balanced, too little traffic, or nothing movable). This is what
-  /// the background thread runs every interval; deterministic tests
-  /// call it directly.
+  /// balanced, too little traffic, or nothing movable). A window with
+  /// less than min_window_ops of traffic is carried forward: the next
+  /// cycle diffs against the same baseline, so quiet windows add up
+  /// until together they are worth a decision. This is what the
+  /// background thread runs every interval; deterministic tests call it
+  /// directly.
   std::size_t rebalance_once() {
     const std::size_t count = set_.shard_count();
     if (count < 2) return 0;
+    std::vector<std::uint64_t> now(count, 0);
     std::vector<std::uint64_t> window(count, 0);
     std::uint64_t total = 0;
     std::size_t hot = 0;
     for (std::size_t i = 0; i < count; ++i) {
-      const std::uint64_t now = set_.shard_counters(i).point_ops();
-      window[i] = now - prev_ops_[i];
-      prev_ops_[i] = now;
+      now[i] = set_.shard_counters(i).point_ops();
+      window[i] = now[i] - prev_ops_[i];
       total += window[i];
       if (window[i] > window[hot]) hot = i;
     }
     decisions_.fetch_add(1, std::memory_order_relaxed);
     if (total < opts_.min_window_ops) return 0;
+    prev_ops_ = std::move(now);
     const double share =
         static_cast<double>(window[hot]) / static_cast<double>(total);
     if (share * static_cast<double>(count) <= opts_.trigger_ratio) return 0;

@@ -26,7 +26,7 @@ struct nm_tree_test_access {
   static bool leaf_key_matches(const Tree& t,
                                const typename Tree::key_type& key) {
     auto sr = seek(t, key);
-    return t.less_.equal(key, sr.leaf->key);
+    return t.less_.equal(key, sr.leaf->key());
   }
 
   /// Plants the flag a delete's injection CAS would plant, then stops —
@@ -37,7 +37,7 @@ struct nm_tree_test_access {
                                     const typename Tree::key_type& key) {
     typename Tree::seek_record sr;
     t.seek(key, sr);
-    if (!t.less_.equal(key, sr.leaf->key)) return false;
+    if (!t.less_.equal(key, sr.leaf->key())) return false;
     auto& child_field = t.child_field_for(sr.parent, key);
     auto expected = Tree::ptr_t::clean(sr.leaf);
     return child_field.compare_exchange(
@@ -52,8 +52,8 @@ struct nm_tree_test_access {
     if (!inject_stalled_delete(t, key)) return false;
     typename Tree::seek_record sr;
     t.seek(key, sr);
-    auto& sibling_field = t.less_(key, sr.parent->key) ? sr.parent->right
-                                                       : sr.parent->left;
+    auto& sibling_field = t.less_(key, sr.parent->key()) ? sr.parent->right
+                                                         : sr.parent->left;
     sibling_field.bts_tag();
     return true;
   }
@@ -98,7 +98,7 @@ struct nm_tree_test_access {
   static bool record_leaf_matches(const Tree& t,
                                   const typename Tree::key_type& key,
                                   const typename Tree::seek_record& sr) {
-    return t.less_.equal(key, sr.leaf->key);
+    return t.less_.equal(key, sr.leaf->key());
   }
 
   /// Whether a held record skipped a tagged region (successor ≠ parent).
@@ -123,11 +123,12 @@ struct nm_tree_test_access {
   static std::size_t access_path_depth(const Tree& t,
                                        const typename Tree::key_type& key) {
     std::size_t depth = 0;
-    auto* n = t.r_;
-    while (n->left.load(std::memory_order_relaxed).address() != nullptr) {
-      n = t.less_(key, n->key)
-              ? n->left.load(std::memory_order_relaxed).address()
-              : n->right.load(std::memory_order_relaxed).address();
+    const typename Tree::node* n = t.r_;
+    while (!n->is_leaf) {
+      const auto* in = Tree::as_internal(n);
+      n = t.less_(key, in->key())
+              ? in->left.load(std::memory_order_relaxed).address()
+              : in->right.load(std::memory_order_relaxed).address();
       ++depth;
     }
     return depth;
@@ -142,21 +143,35 @@ struct nm_tree_test_access {
     return sr.successor != sr.parent;
   }
 
+  /// Object sizes of the two node kinds.
+  template <typename Tree>
+  static constexpr std::size_t leaf_bytes() {
+    return sizeof(typename Tree::leaf_node);
+  }
+  template <typename Tree>
+  static constexpr std::size_t internal_bytes() {
+    return sizeof(typename Tree::internal_node);
+  }
+
+  /// Block sizes of the leaf pool and the internal-node pool.
+  template <typename Tree>
+  static std::pair<std::size_t, std::size_t> pool_block_bytes(const Tree& t) {
+    return {t.leaf_pool_.block_size(), t.internal_pool_.block_size()};
+  }
+
   /// Count of reachable nodes (internal + leaves, sentinels included).
   template <typename Tree>
   static std::size_t reachable_node_count(const Tree& t) {
     std::size_t n = 0;
-    std::vector<typename Tree::node*> stack{t.r_};
+    std::vector<const typename Tree::node*> stack{t.r_};
     while (!stack.empty()) {
-      auto* x = stack.back();
+      const auto* x = stack.back();
       stack.pop_back();
       ++n;
-      if (auto* l = x->left.load(std::memory_order_relaxed).address()) {
-        stack.push_back(l);
-      }
-      if (auto* r = x->right.load(std::memory_order_relaxed).address()) {
-        stack.push_back(r);
-      }
+      if (x->is_leaf) continue;
+      const auto* in = Tree::as_internal(x);
+      stack.push_back(in->left.load(std::memory_order_relaxed).address());
+      stack.push_back(in->right.load(std::memory_order_relaxed).address());
     }
     return n;
   }

@@ -4,12 +4,19 @@
 // test-access hooks rather than hoping a scheduler interleaves just so.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <memory>
+#include <numeric>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "alloc/slab_arena.hpp"
 #include "common/rng.hpp"
 #include "core/natarajan_tree.hpp"
+#include "core/nm_map.hpp"
 #include "nm_test_access.hpp"
+#include "reclaim/epoch.hpp"
 #include "reclaim/hazard_reclaimer.hpp"
 
 namespace lfbst {
@@ -307,6 +314,77 @@ TEST(NmWhitebox, StalledDeleteBlocksReuseOfInjectionPoint) {
   EXPECT_TRUE(access::inject_stalled_delete(t, 10));
   EXPECT_TRUE(access::run_cleanup(t, 10));
   EXPECT_EQ(t.validate(), "");
+}
+
+// --- node memory per key ------------------------------------------------
+
+TEST(NmTreeMemory, LeavesAreSixteenBytesAndInternalNodesThirtyTwo) {
+  using set_t = nm_tree<long>;
+  EXPECT_EQ(access::leaf_bytes<set_t>(), 16u);
+  EXPECT_EQ(access::internal_bytes<set_t>(), 32u);
+  const set_t t;
+  EXPECT_EQ(access::pool_block_bytes(t), std::make_pair(std::size_t{16},
+                                                        std::size_t{32}));
+  // A map's value rides in its leaves only: internal nodes are the same
+  // 32 bytes as a set's.
+  using map_t = nm_map<long, long>;
+  EXPECT_EQ(access::internal_bytes<map_t>(), 32u);
+  EXPECT_EQ(access::leaf_bytes<map_t>(), 24u);
+  const map_t m;
+  EXPECT_EQ(access::pool_block_bytes(m), std::make_pair(std::size_t{32},
+                                                        std::size_t{32}));
+}
+
+TEST(NmTreeMemory, ShuffledInsertsUseAtMost49BytesPerKey) {
+  // One leaf (16 B) and one internal node (32 B) per key, plus at most
+  // one partly used page per pool.
+  constexpr long n = 1L << 16;
+  std::vector<long> keys(n);
+  std::iota(keys.begin(), keys.end(), 0L);
+  pcg32 rng(19);
+  for (long i = n - 1; i > 0; --i) {
+    std::swap(keys[i], keys[rng.bounded(static_cast<std::uint32_t>(i + 1))]);
+  }
+  nm_tree<long, std::less<long>, reclaim::epoch> t;
+  for (long k : keys) ASSERT_TRUE(t.insert(k));
+  const double per_key =
+      static_cast<double>(t.footprint_bytes()) / static_cast<double>(n);
+  EXPECT_LE(per_key, 49.0);
+  EXPECT_EQ(t.size_slow(), static_cast<std::size_t>(n));
+  EXPECT_EQ(t.validate(), "");
+}
+
+TEST(NmTreeMemory, SlackIsAtMostOnePagePerPoolAndThread) {
+  // Eight trees, three inserting threads each, plus the constructing
+  // thread that allocates the sentinels: four allocating threads per
+  // pool, two pools per tree.
+  using tree_t = nm_tree<long, std::less<long>, reclaim::epoch>;
+  constexpr int trees = 8;
+  constexpr int inserters = 3;
+  constexpr long keys_per_thread = 3000;
+  std::vector<std::unique_ptr<tree_t>> forest;
+  for (int i = 0; i < trees; ++i) forest.push_back(std::make_unique<tree_t>());
+  std::vector<std::thread> threads;
+  for (int i = 0; i < trees; ++i) {
+    for (int th = 0; th < inserters; ++th) {
+      threads.emplace_back([&t = *forest[i], th] {
+        for (long k = 0; k < keys_per_thread; ++k) {
+          (void)t.insert(k * inserters + th);
+        }
+      });
+    }
+  }
+  for (auto& th : threads) th.join();
+  const auto [leaf, internal] = access::pool_block_bytes(*forest[0]);
+  for (const auto& t : forest) {
+    const std::size_t keys = t->size_slow();
+    ASSERT_EQ(keys, static_cast<std::size_t>(keys_per_thread * inserters));
+    // Three sentinel leaves and the two sentinel internal nodes.
+    const std::size_t live = (keys + 3) * leaf + (keys + 2) * internal;
+    const std::size_t slack = 2 * (inserters + 1) * slab_arena::page_bytes;
+    EXPECT_LE(t->footprint_bytes(), live + slack)
+        << "live " << live << " B, footprint " << t->footprint_bytes() << " B";
+  }
 }
 
 }  // namespace

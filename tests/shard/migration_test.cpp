@@ -204,6 +204,30 @@ TEST(RebalancerUnit, QuietWindowBelowMinOpsIsIgnored) {
   EXPECT_EQ(reb.rebalance_once(), 0u);
 }
 
+TEST(RebalancerUnit, QuietWindowsAddUpToADecision) {
+  shard::sharded_set<recorded_tree> set(4, 0, 4096);
+  shard::rebalancer_options opts;
+  opts.min_window_ops = 1024;
+  shard::rebalancer<shard::sharded_set<recorded_tree>> reb(set, opts);
+  for (long k = 0; k < 4096; k += 2) ASSERT_TRUE(set.insert(k));
+  reb.prime();
+  // Four windows of 300 ops, all in shard 0's range: each is below
+  // min_window_ops on its own, the four together are not.
+  for (int w = 0; w < 4; ++w) {
+    for (long k = 0; k < 300; ++k) (void)set.contains(k);
+    const std::size_t moved = reb.rebalance_once();
+    if (w < 3) {
+      EXPECT_EQ(moved, 0u) << "window " << w;
+    } else {
+      EXPECT_GT(moved, 0u) << "window " << w;
+    }
+  }
+  EXPECT_EQ(reb.decisions(), 4u);
+  EXPECT_EQ(reb.migrations(), 1u);
+  EXPECT_LT(set.router().splitter(1), 1024);
+  EXPECT_EQ(set.validate(), "");
+}
+
 TEST(RebalancerUnit, HotShardDonatesToNeighbor) {
   shard::sharded_set<recorded_tree> set(4, 0, 4096);
   shard::rebalancer_options opts;

@@ -52,7 +52,8 @@ class any_set {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::flags flags(argc, argv);
+  const bench::flags flags(argc, argv, {
+      "keyrange", "phase-ops", "seconds", "seed"});
   const auto seconds = flags.get_int("seconds", 10);
   const auto base_seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const auto key_range =
