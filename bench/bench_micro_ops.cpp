@@ -136,7 +136,7 @@ LFBST_REGISTER(nm_hazard, "NM-BST-hazard");
 // uncontended single-threaded paths measured here — the policy is only
 // consulted after a failed CAS — so any delta in these rows is noise;
 // the contended comparison lives in the "restart_policy" JSON study
-// below and in bench_contention_window.
+// below and in bench_ablation's "contention" study.
 using nm_root = nm_tree<long, std::less<long>, reclaim::leaky, stats::none,
                         tag_policy::bts, void, atomics::native,
                         restart::from_root>;

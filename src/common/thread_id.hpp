@@ -58,13 +58,23 @@ struct thread_slot_holder {
   ~thread_slot_holder() { thread_slot_table::instance().release(idx); }
 };
 
+/// The calling thread's index. dsched's scheduler writes it to run each
+/// logical thread (a fiber on this thread) under its own slot. Without
+/// always_inline, this extra call level changed GCC's inlining of the
+/// trees' hot paths (the contended NM row of bench_ablation's
+/// contention study lost ~18%).
+[[gnu::always_inline]] inline unsigned& thread_index_slot() noexcept {
+  thread_local thread_slot_holder holder;
+  return holder.idx;
+}
+
 }  // namespace detail
 
 /// Dense id of the calling thread, assigned on first use, recycled at
-/// thread exit. Stable for the thread's lifetime.
+/// thread exit. Stable for the thread's lifetime (a dsched logical
+/// thread has its own).
 inline unsigned this_thread_index() noexcept {
-  thread_local detail::thread_slot_holder holder;
-  return holder.idx;
+  return detail::thread_index_slot();
 }
 
 }  // namespace lfbst

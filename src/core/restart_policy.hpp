@@ -27,7 +27,7 @@
 // Both policies execute identical atomics on the uncontended path (the
 // policy is only consulted after a failed CAS), so Table 1 counts are
 // policy-independent. bench_micro_ops --json (study "restart_policy")
-// and bench_contention_window quantify the contended difference;
+// and bench_ablation --study=contention quantify the contended difference;
 // docs/PERF.md discusses it.
 #pragma once
 

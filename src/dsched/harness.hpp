@@ -15,11 +15,11 @@
 //     the combined history;
 //   * runs the tree's structural validator.
 //
-// Timestamps: a logical clock incremented at every invoke/response
-// event. Logical threads execute one at a time with mutex-ordered
-// handoffs, so clock order equals real-time order exactly — including
-// program order within a thread — and the checker's real-time constraint
-// is tight, not merely conservative.
+// Timestamps: the recorder's clock, incremented at every invoke/response
+// event. Logical threads execute one at a time on one OS thread, each
+// switch made by the scheduler, so clock order equals real-time order
+// exactly — including program order within a thread — and the checker's
+// real-time constraint is tight, not merely conservative.
 //
 // Every failure carries the execution's trace; replaying it
 // (strategies.hpp replay, or the printed `--trace` string) reproduces
@@ -39,6 +39,7 @@
 #include "dsched/scheduler.hpp"
 #include "dsched/strategies.hpp"
 #include "lincheck/lincheck.hpp"
+#include "lincheck/recorder.hpp"
 
 namespace lfbst::dsched {
 
@@ -58,135 +59,11 @@ namespace lfbst::dsched {
   return n * budget_scale();
 }
 
-/// Records one logical thread's operations against the shared history.
-/// Scripts call these instead of the tree directly; results are passed
-/// through, so scripts can branch on them.
+/// Scripts record their operations through the one lincheck recorder
+/// of the execution, shared by all its logical threads; `tree()` gives
+/// control-plane calls that append no history entry.
 template <typename Tree>
-class recorder {
- public:
-  recorder(Tree& tree, lincheck::history& sink, std::uint64_t& clock)
-      : tree_(tree), sink_(sink), clock_(clock) {}
-
-  bool insert(int key) { return record(lincheck::op_kind::insert, key); }
-  bool erase(int key) { return record(lincheck::op_kind::erase, key); }
-  bool contains(int key) { return record(lincheck::op_kind::contains, key); }
-
-  // Batched operations (trees that have them, e.g. shard::sharded_set).
-  // A batch is not atomic: each element is its own linearizable op, so
-  // each is recorded as one history entry. All elements share the
-  // batch's invoke timestamp and get distinct responses after the call
-  // returns — intervals that cover each element's true execution window
-  // (conservatively), keeping the check sound.
-
-  std::vector<bool> insert_batch(const std::vector<int>& keys)
-    requires requires(Tree t, std::vector<int> k) { t.insert_batch(k); }
-  {
-    return record_batch(lincheck::op_kind::insert, keys,
-                        [&](const std::vector<int>& k) {
-                          return tree_.insert_batch(k);
-                        });
-  }
-
-  std::vector<bool> erase_batch(const std::vector<int>& keys)
-    requires requires(Tree t, std::vector<int> k) { t.erase_batch(k); }
-  {
-    return record_batch(lincheck::op_kind::erase, keys,
-                        [&](const std::vector<int>& k) {
-                          return tree_.erase_batch(k);
-                        });
-  }
-
-  std::vector<bool> contains_batch(const std::vector<int>& keys)
-    requires requires(Tree t, std::vector<int> k) { t.contains_batch(k); }
-  {
-    return record_batch(lincheck::op_kind::contains, keys,
-                        [&](const std::vector<int>& k) {
-                          return tree_.contains_batch(k);
-                        });
-  }
-
-  // Concurrent ordered scan over [lo, hi), encoded like a batch: a scan
-  // is not atomic, so each key of the interval becomes one contains(k,
-  // k ∈ result) observation sharing the scan's [invoke, response]
-  // window. Omitted keys become contains→false entries — a wrongly
-  // missing key (one present for the whole window) fails the check.
-  // Sortedness and uniqueness are the scan's own unconditional
-  // guarantees, so they are asserted here, on every explored schedule.
-  std::vector<int> range_scan(int lo, int hi)
-    requires requires(Tree t, int k) { t.range_scan(k, k); }
-  {
-    LFBST_ASSERT(lo >= 0 && hi <= 64, "dsched scenario keys live in [0,64)");
-    const std::uint64_t invoke = ++clock_;
-    using tree_key = typename Tree::key_type;
-    const std::vector<tree_key> raw = tree_.range_scan(
-        static_cast<tree_key>(lo), static_cast<tree_key>(hi));
-    const std::uint64_t response = ++clock_;
-    std::vector<int> result;
-    result.reserve(raw.size());
-    for (const tree_key& k : raw) result.push_back(static_cast<int>(k));
-    for (std::size_t i = 0; i < result.size(); ++i) {
-      LFBST_ASSERT(result[i] >= lo && result[i] < hi,
-                   "range_scan returned a key outside [lo, hi)");
-      LFBST_ASSERT(i == 0 || result[i - 1] < result[i],
-                   "range_scan result not sorted/unique");
-    }
-    std::size_t next = 0;
-    for (int k = lo; k < hi; ++k) {
-      while (next < result.size() && result[next] < k) ++next;
-      const bool present = next < result.size() && result[next] == k;
-      sink_.push_back(
-          {lincheck::op_kind::contains, k, present, invoke, response});
-    }
-    return result;
-  }
-
-  /// The instance under test — for scripts that drive non-history
-  /// control-plane calls (e.g. sharded_set::migrate_splitter) racing
-  /// the recorded operations. Control-plane calls still hit schedule
-  /// points through the tree's atomics policy; they just don't append
-  /// history entries, because they must not change membership at all.
-  [[nodiscard]] Tree& tree() noexcept { return tree_; }
-
- private:
-  bool record(lincheck::op_kind kind, int key) {
-    LFBST_ASSERT(key >= 0 && key < 64, "dsched scenario keys live in [0,64)");
-    const std::uint64_t invoke = ++clock_;
-    bool result = false;
-    switch (kind) {
-      case lincheck::op_kind::insert:
-        result = tree_.insert(key);
-        break;
-      case lincheck::op_kind::erase:
-        result = tree_.erase(key);
-        break;
-      case lincheck::op_kind::contains:
-        result = tree_.contains(key);
-        break;
-    }
-    sink_.push_back({kind, key, result, invoke, ++clock_});
-    return result;
-  }
-
-  template <typename BatchFn>
-  std::vector<bool> record_batch(lincheck::op_kind kind,
-                                 const std::vector<int>& keys,
-                                 BatchFn&& run) {
-    for (const int key : keys) {
-      LFBST_ASSERT(key >= 0 && key < 64,
-                   "dsched scenario keys live in [0,64)");
-    }
-    const std::uint64_t invoke = ++clock_;
-    std::vector<bool> results = run(keys);
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      sink_.push_back({kind, keys[i], results[i], invoke, ++clock_});
-    }
-    return results;
-  }
-
-  Tree& tree_;
-  lincheck::history& sink_;
-  std::uint64_t& clock_;
-};
+using recorder = lincheck::recorder<Tree>;
 
 /// One schedule-exploration scenario over a tree type built with
 /// dsched::sched_atomics.
@@ -243,14 +120,9 @@ execution_report run_scenario(const scenario<Tree>& sc,
     if (tree.contains(k)) initial_state |= std::uint64_t{1} << k;
   }
 
-  lincheck::history h;
-  std::uint64_t clock = 0;
+  recorder<Tree> rec(tree);
   std::vector<scheduler::thread_fn> fns;
-  std::vector<recorder<Tree>> recs;
-  recs.reserve(sc.threads.size());  // stable addresses for the closures
   for (const auto& script : sc.threads) {
-    recs.emplace_back(tree, h, clock);
-    recorder<Tree>& rec = recs.back();
     fns.emplace_back([&script, &rec] { script(rec); });
   }
 
@@ -258,13 +130,11 @@ execution_report run_scenario(const scenario<Tree>& sc,
   report.schedule = scheduler::run(std::move(fns), pick);
   report.steps = report.schedule.size();
 
-  // Terminal observations: after the scheduler joins every logical
-  // thread, membership is quiescent; fold it into the history as
-  // late-timestamped contains ops.
-  for (const int k : sc.universe) {
-    const std::uint64_t t = ++clock;
-    h.push_back({lincheck::op_kind::contains, k, tree.contains(k), t, t});
-  }
+  // Terminal observations: once every logical thread has finished,
+  // membership is quiescent; record it as contains ops timestamped
+  // after everything else.
+  for (const int k : sc.universe) rec.contains(k);
+  const lincheck::history h = rec.take();
 
   report.validate_error = tree.validate();
   report.linearizable = lincheck::checker::is_linearizable(h, initial_state);

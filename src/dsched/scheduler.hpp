@@ -9,16 +9,27 @@
 // deterministic, replayable function of a seed or a choice sequence.
 //
 // Model: N *logical* threads execute under the control of one
-// coordinator, with at most one logical thread running at any instant
-// (they are backed by real OS threads gated on a condition variable, so
-// the model is sanitizer-friendly — TSan sees properly synchronized
-// handoffs, and there is no fiber/stack trickery). Every shared-memory
-// primitive of a tree built with the dsched::sched_atomics policy calls
-// schedule_point(), which parks the calling logical thread and returns
-// control to the coordinator. The coordinator asks a *strategy* which
-// runnable thread performs the next shared-memory step. The sequence of
-// choices is the *trace*; scheduling is the only source of
-// nondeterminism in a scenario, so trace ⇒ execution, exactly.
+// coordinator, with at most one logical thread running at any instant.
+// Each logical thread is a ucontext fiber with its own fixed-size stack
+// (guard page below it) on the coordinator's OS thread: the coordinator
+// swapcontext()s into the fiber the strategy picks, and schedule_point()
+// swaps back. Every shared-memory primitive of a tree built with the
+// dsched::sched_atomics policy calls schedule_point(). The coordinator
+// asks a *strategy* which runnable thread performs the next
+// shared-memory step. The sequence of choices is the *trace*; scheduling
+// is the only source of nondeterminism in a scenario, so trace ⇒
+// execution, exactly.
+//
+// Identity: every fiber holds its own slot of the thread slot table
+// (common/thread_id.hpp), installed as this_thread_index() while it runs,
+// so node pools, epoch records, hazard slots, metric stripes and
+// sharded_set's gate stripes see N distinct threads, exactly as they
+// would see N OS threads. The coordinator's own index is restored after
+// every switch.
+//
+// Sanitizers: every switch carries TSan's fiber annotations (a switch
+// synchronizes, like the hand-off of a lock) and ASan's stack-switch
+// annotations, so both sanitizers audit the scenarios.
 //
 // Granularity: one step = the code between two schedule points — i.e.
 // exactly one shared-memory access (one tagged_word load/CAS/BTS) plus
@@ -30,24 +41,35 @@
 // Progress: because the trees are lock-free, a thread never blocks
 // between schedule points; any strategy choice sequence terminates. A
 // step budget guards against runaway scenarios that keep hitting
-// schedule points: when it blows, every logical thread is unparked to
-// free-run to completion (schedule_point becomes a no-op), the threads
-// are joined, and run() throws. Scripts must terminate once scheduling
-// pressure is removed — every finite sequence of lock-free tree
-// operations does.
+// schedule points: when it blows, the unfinished logical threads are
+// run round-robin, one step each in turn, until all have finished, and
+// run() throws. Schedule points keep switching during that drain, so a
+// thread that spins on another's progress (sharded_set's quiescence
+// wait) still lets it move. Scripts must terminate under a fair
+// schedule — every finite sequence of lock-free tree operations does.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
+#include <sys/mman.h>
+#include <ucontext.h>
+
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <mutex>
+#include <memory>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/assert.hpp"
+#include "common/thread_id.hpp"
+
+#if defined(__SANITIZE_THREAD__)
+#include <sanitizer/tsan_interface.h>
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#include <sanitizer/common_interface_defs.h>
+#endif
 
 namespace lfbst::dsched {
 
@@ -77,17 +99,16 @@ inline std::string format_trace(const trace& t) {
 class scheduler;
 
 namespace detail {
-/// The scheduler controlling the calling OS thread, if any. Null on
-/// unmanaged threads (the coordinator, plain test code), where
+/// The scheduler whose logical thread is running on the calling OS
+/// thread, if any. Null in the coordinator and in unmanaged code, where
 /// schedule_point() is a no-op — so scenario setup/teardown can call
 /// tree operations freely.
 inline thread_local scheduler* tl_scheduler = nullptr;
-inline thread_local unsigned tl_tid = 0;
 }  // namespace detail
 
-/// Parks the calling logical thread until the strategy schedules it
-/// again. Called by dsched::sched_atomics before every shared-memory
-/// step; a no-op outside a managed logical thread.
+/// Returns control from the calling logical thread to the coordinator
+/// until the strategy schedules it again. Called by dsched::sched_atomics
+/// before every shared-memory step; a no-op outside a logical thread.
 void schedule_point() noexcept;
 
 /// Runs N logical threads to completion under a strategy. One instance
@@ -100,6 +121,10 @@ class scheduler {
   using strategy_fn = std::function<unsigned(std::size_t, std::uint32_t)>;
 
   static constexpr unsigned max_logical_threads = 32;
+  /// Usable stack of a logical thread, above a PROT_NONE guard page.
+  /// Scenarios use under 9 KiB even under ASan, whose swapcontext hook
+  /// clears the whole target stack's shadow at each switch.
+  static constexpr std::size_t stack_bytes = std::size_t{256} << 10;
 
   /// Runs `fns` to completion, consulting `pick` at every schedule
   /// point. Returns the trace. Throws std::runtime_error if the step
@@ -111,128 +136,205 @@ class scheduler {
     return s.execute(pick, max_steps);
   }
 
-  /// Global step counter of the active execution: the number of
-  /// scheduling decisions made so far. Monotone; used as the timestamp
-  /// axis for linearizability histories (harness.hpp). Returns 0 when no
-  /// execution is active on this thread's scheduler.
-  [[nodiscard]] std::uint64_t step_count() const noexcept {
-    return steps_.load(std::memory_order_relaxed);
-  }
-
-  /// The scheduler managing the calling thread (logical threads only).
-  static scheduler* current() noexcept { return detail::tl_scheduler; }
+  scheduler(const scheduler&) = delete;
+  scheduler& operator=(const scheduler&) = delete;
 
  private:
   friend void schedule_point() noexcept;
 
-  enum class lstate : std::uint8_t { at_point, running, finished };
+  static constexpr std::size_t guard_bytes = 4096;
 
-  explicit scheduler(std::vector<thread_fn> fns) : fns_(std::move(fns)) {
-    LFBST_ASSERT(!fns_.empty() && fns_.size() <= max_logical_threads,
+  /// Where a logical thread runs: a stack (guard page below it), its
+  /// ucontext and its sanitizer fiber state. A context runs one script
+  /// after another, suspending after each, and is kept per OS thread for
+  /// later executions: a fresh one costs an mmap, page faults and, under
+  /// TSan, ~0.6 ms to create — more than most executions.
+  struct context {
+    ucontext_t uc{};
+    char* mapping = nullptr;
+    void* tsan = nullptr;
+    void* asan_fake_stack = nullptr;
+
+    context() {
+      void* m = mmap(nullptr, guard_bytes + stack_bytes,
+                     PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+      LFBST_ASSERT(m != MAP_FAILED, "dsched: fiber stack mmap failed");
+      mapping = static_cast<char*>(m);
+      const int guarded = mprotect(mapping, guard_bytes, PROT_NONE);
+      LFBST_ASSERT(guarded == 0, "dsched: guard page mprotect failed");
+      getcontext(&uc);
+      uc.uc_stack.ss_sp = mapping + guard_bytes;
+      uc.uc_stack.ss_size = stack_bytes;
+      uc.uc_link = nullptr;  // fiber_main never returns
+      makecontext(&uc, &scheduler::fiber_main, 0);
+#if defined(__SANITIZE_THREAD__)
+      tsan = __tsan_create_fiber(0);
+#endif
+    }
+    context(const context&) = delete;
+    context& operator=(const context&) = delete;
+    ~context() {
+#if defined(__SANITIZE_THREAD__)
+      __tsan_destroy_fiber(tsan);
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+      // The context's frames never return; clear their redzones before
+      // the pages can be mapped again.
+      ASAN_UNPOISON_MEMORY_REGION(mapping + guard_bytes, stack_bytes);
+#endif
+      munmap(mapping, guard_bytes + stack_bytes);
+    }
+  };
+
+  /// Idle contexts of the calling OS thread.
+  static std::vector<std::unique_ptr<context>>& idle_contexts() {
+    thread_local std::vector<std::unique_ptr<context>> idle;
+    return idle;
+  }
+
+  struct fiber {
+    thread_fn fn;
+    std::unique_ptr<context> ctx;
+    unsigned slot = 0;  // thread slot table index
+    bool finished = false;
+  };
+
+  explicit scheduler(std::vector<thread_fn> fns) : fibers_(fns.size()) {
+    LFBST_ASSERT(!fns.empty() && fns.size() <= max_logical_threads,
                  "1..32 logical threads");
-    states_.assign(fns_.size(), lstate::at_point);
+    auto& idle = idle_contexts();
+    for (std::size_t i = 0; i < fns.size(); ++i) {
+      fiber& f = fibers_[i];
+      f.fn = std::move(fns[i]);
+      if (idle.empty()) {
+        f.ctx = std::make_unique<context>();
+      } else {
+        f.ctx = std::move(idle.back());
+        idle.pop_back();
+      }
+      f.slot = lfbst::detail::thread_slot_table::instance().acquire();
+    }
+  }
+
+  ~scheduler() {
+    for (fiber& f : fibers_) {
+      // Only a finished script's context is idle; one left mid-script
+      // (the strategy threw) is unmapped instead.
+      if (f.finished) idle_contexts().push_back(std::move(f.ctx));
+      lfbst::detail::thread_slot_table::instance().release(f.slot);
+    }
   }
 
   trace execute(const strategy_fn& pick, std::size_t max_steps) {
-    const unsigned n = static_cast<unsigned>(fns_.size());
-    std::vector<std::thread> os_threads;
-    os_threads.reserve(n);
-    for (unsigned tid = 0; tid < n; ++tid) {
-      os_threads.emplace_back([this, tid] { thread_main(tid); });
-    }
-
+    const unsigned n = static_cast<unsigned>(fibers_.size());
     trace out;
-    bool budget_blown = false;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      for (std::size_t step = 0;; ++step) {
-        const std::uint32_t runnable = runnable_mask_locked();
-        if (runnable == 0) break;  // all finished
-        if (step >= max_steps) {
-          budget_blown = true;
-          break;
-        }
-        const unsigned tid = pick(step, runnable);
-        LFBST_ASSERT(tid < n && (runnable & (1u << tid)) != 0,
-                     "strategy chose a non-runnable thread");
-        out.push_back({tid, runnable});
-        steps_.fetch_add(1, std::memory_order_relaxed);
-        // Hand the token to `tid`; it runs until its next schedule
-        // point (or completion) and hands the token back.
-        active_ = static_cast<int>(tid);
-        cv_.notify_all();
-        cv_.wait(lock, [this] { return active_ == -1; });
-      }
-      if (budget_blown) {
-        // Unblock every parked thread so the OS threads can be joined:
-        // fail them with the abort flag, which schedule_point turns
-        // into free-running (no further parking).
-        aborting_ = true;
-        cv_.notify_all();
+    for (std::size_t step = 0;; ++step) {
+      const std::uint32_t runnable = runnable_mask();
+      if (runnable == 0) return out;
+      if (step >= max_steps) break;
+      const unsigned tid = pick(step, runnable);
+      LFBST_ASSERT(tid < n && (runnable & (1u << tid)) != 0,
+                   "strategy chose a non-runnable thread");
+      out.push_back({tid, runnable});
+      resume(tid);
+    }
+    // Budget blown: drain the unfinished threads round-robin.
+    while (runnable_mask() != 0) {
+      for (unsigned tid = 0; tid < n; ++tid) {
+        if (!fibers_[tid].finished) resume(tid);
       }
     }
-    for (std::thread& t : os_threads) t.join();
-    if (budget_blown) {
-      throw std::runtime_error(
-          "dsched: step budget exhausted — scenario does not terminate "
-          "under cooperative scheduling (blocking synchronization?)");
-    }
-    return out;
+    throw std::runtime_error(
+        "dsched: step budget exhausted — scenario does not terminate "
+        "under cooperative scheduling (blocking synchronization?)");
   }
 
-  void thread_main(unsigned tid) {
+  /// Coordinator side: run logical thread `tid` until its next schedule
+  /// point or its end, under its own thread index.
+  void resume(unsigned tid) {
+    context& c = *fibers_[tid].ctx;
+    unsigned& index = lfbst::detail::thread_index_slot();
+    const unsigned own_index = index;
+    index = fibers_[tid].slot;
+    running_ = tid;
     detail::tl_scheduler = this;
-    detail::tl_tid = tid;
-    {
-      // Initial park: a logical thread takes no step until first chosen.
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [&] {
-        return aborting_ || active_ == static_cast<int>(tid);
-      });
-      states_[tid] = lstate::running;
-    }
-    fns_[tid]();
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      states_[tid] = lstate::finished;
-      active_ = -1;
-      cv_.notify_all();
-    }
+#if defined(__SANITIZE_THREAD__)
+    coordinator_tsan_ = __tsan_get_current_fiber();
+    __tsan_switch_to_fiber(c.tsan, 0);
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+    void* fake_stack = nullptr;
+    __sanitizer_start_switch_fiber(&fake_stack, c.mapping + guard_bytes,
+                                   stack_bytes);
+#endif
+    swapcontext(&coordinator_, &c.uc);
+#if defined(__SANITIZE_ADDRESS__)
+    __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
+#endif
     detail::tl_scheduler = nullptr;
+    index = own_index;
   }
 
-  void yield_at_point() {
-    const unsigned tid = detail::tl_tid;
-    std::unique_lock<std::mutex> lock(mu_);
-    if (aborting_) return;  // budget blown: run free so join() can finish
-    states_[tid] = lstate::at_point;
-    active_ = -1;
-    cv_.notify_all();
-    cv_.wait(lock, [&] {
-      return aborting_ || active_ == static_cast<int>(tid);
-    });
-    states_[tid] = lstate::running;
+  /// Logical thread side: hand control back to the coordinator. Returns
+  /// when this context is resumed, possibly by a later execution.
+  static void suspend(context& c) {
+    scheduler* s = detail::tl_scheduler;
+#if defined(__SANITIZE_THREAD__)
+    __tsan_switch_to_fiber(s->coordinator_tsan_, 0);
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+    __sanitizer_start_switch_fiber(&c.asan_fake_stack, s->coordinator_stack_,
+                                   s->coordinator_size_);
+#endif
+    swapcontext(&c.uc, &s->coordinator_);
+    switched_in(c);
   }
 
-  [[nodiscard]] std::uint32_t runnable_mask_locked() const {
+  /// First thing a context runs after every switch into it.
+  static void switched_in([[maybe_unused]] context& c) {
+#if defined(__SANITIZE_ADDRESS__)
+    scheduler* s = detail::tl_scheduler;
+    __sanitizer_finish_switch_fiber(c.asan_fake_stack, &s->coordinator_stack_,
+                                    &s->coordinator_size_);
+#endif
+  }
+
+  /// Body of every context: run the script of whichever execution
+  /// resumed it, then suspend until one does again. noexcept: a script's
+  /// exception cannot unwind into the coordinator's stack.
+  static void fiber_main() noexcept {
+    scheduler* s = detail::tl_scheduler;
+    switched_in(*s->fibers_[s->running_].ctx);
+    for (;;) {
+      s = detail::tl_scheduler;
+      fiber& f = s->fibers_[s->running_];
+      f.fn();
+      f.finished = true;
+      suspend(*f.ctx);
+    }
+  }
+
+  [[nodiscard]] std::uint32_t runnable_mask() const {
     std::uint32_t mask = 0;
-    for (std::size_t i = 0; i < states_.size(); ++i) {
-      if (states_[i] != lstate::finished) mask |= 1u << i;
+    for (std::size_t i = 0; i < fibers_.size(); ++i) {
+      if (!fibers_[i].finished) mask |= 1u << i;
     }
     return mask;
   }
 
-  std::vector<thread_fn> fns_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<lstate> states_;
-  int active_ = -1;  // tid holding the run token, -1 = coordinator
-  bool aborting_ = false;
-  std::atomic<std::uint64_t> steps_{0};
+  std::vector<fiber> fibers_;
+  ucontext_t coordinator_{};
+  unsigned running_ = 0;
+  void* coordinator_tsan_ = nullptr;
+  const void* coordinator_stack_ = nullptr;
+  std::size_t coordinator_size_ = 0;
 };
 
 inline void schedule_point() noexcept {
-  if (scheduler* s = detail::tl_scheduler) s->yield_at_point();
+  if (scheduler* s = detail::tl_scheduler) {
+    scheduler::suspend(*s->fibers_[s->running_].ctx);
+  }
 }
 
 }  // namespace lfbst::dsched

@@ -136,7 +136,7 @@ class map_checker {
   std::set<std::vector<std::int64_t>> failed_;
 };
 
-/// Recorder for map histories, mirroring lincheck::recorder.
+/// Recorder for map histories, timestamped like lincheck::recorder.
 class map_recorder {
  public:
   template <typename Map>

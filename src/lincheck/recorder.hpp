@@ -1,8 +1,10 @@
 // lfbst: concurrent history recorder feeding the linearizability
-// checker. Threads call the recording wrappers instead of the tree
-// directly; invoke/response timestamps come from one global atomic
-// counter, so A.response < B.invoke faithfully captures "A completed
-// before B began".
+// checker. A recorder is bound to one set and shared by every thread of
+// a history; threads call its wrappers instead of the set directly.
+// Invoke/response timestamps come from one global atomic counter, so
+// A.response < B.invoke faithfully captures "A completed before B
+// began". The same recorder serves OS threads (tests/lincheck,
+// tests/shard) and dsched's logical threads (dsched/harness.hpp).
 #pragma once
 
 #include <atomic>
@@ -11,26 +13,27 @@
 #include <mutex>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "lincheck/lincheck.hpp"
 
 namespace lfbst::lincheck {
 
+template <typename Set>
 class recorder {
  public:
-  /// Executes `set.insert/erase/contains(key)` bracketed by timestamps
-  /// and appends the completed operation to the history.
-  template <typename Set>
-  bool insert(Set& set, int key) {
-    return record(op_kind::insert, key, [&] { return set.insert(key); });
+  explicit recorder(Set& set) noexcept : set_(set) {}
+
+  /// Executes `insert/erase/contains(key)` on the set bracketed by
+  /// timestamps and appends the completed operation to the history.
+  bool insert(int key) {
+    return record(op_kind::insert, key, [&] { return set_.insert(key); });
   }
-  template <typename Set>
-  bool erase(Set& set, int key) {
-    return record(op_kind::erase, key, [&] { return set.erase(key); });
+  bool erase(int key) {
+    return record(op_kind::erase, key, [&] { return set_.erase(key); });
   }
-  template <typename Set>
-  bool contains(Set& set, int key) {
+  bool contains(int key) {
     return record(op_kind::contains, key,
-                  [&] { return set.contains(key); });
+                  [&] { return set_.contains(key); });
   }
 
   /// Batched operations (sets that have them, e.g. shard::sharded_set).
@@ -39,20 +42,17 @@ class recorder {
   /// batch's invoke timestamp and one response timestamp taken after
   /// the call returns: intervals that cover every element's true
   /// execution window, keeping the check sound (conservative).
-  template <typename Set>
-  std::vector<bool> insert_batch(Set& set, const std::vector<int>& keys) {
+  std::vector<bool> insert_batch(const std::vector<int>& keys) {
     return record_batch(op_kind::insert, keys,
-                        [&] { return set.insert_batch(keys); });
+                        [&] { return set_.insert_batch(keys); });
   }
-  template <typename Set>
-  std::vector<bool> erase_batch(Set& set, const std::vector<int>& keys) {
+  std::vector<bool> erase_batch(const std::vector<int>& keys) {
     return record_batch(op_kind::erase, keys,
-                        [&] { return set.erase_batch(keys); });
+                        [&] { return set_.erase_batch(keys); });
   }
-  template <typename Set>
-  std::vector<bool> contains_batch(Set& set, const std::vector<int>& keys) {
+  std::vector<bool> contains_batch(const std::vector<int>& keys) {
     return record_batch(op_kind::contains, keys,
-                        [&] { return set.contains_batch(keys); });
+                        [&] { return set_.contains_batch(keys); });
   }
 
   /// Concurrent ordered scan, encoded with the same conservative
@@ -62,20 +62,27 @@ class recorder {
   /// for every key of [lo, hi), all sharing the scan's [invoke,
   /// response] window. Keys the scan skipped become contains→false
   /// entries, which is what makes a *wrongly missing* key fail the
-  /// check. Keep ranges small: each scan appends hi − lo entries to the
-  /// history the checker must order.
-  template <typename Set>
-  std::vector<int> range_scan(Set& set, int lo, int hi) {
+  /// check. A scan's own unconditional guarantees (every key in
+  /// [lo, hi), sorted, unique) are asserted on every call. Keep ranges
+  /// small: each scan appends hi − lo entries to the history the
+  /// checker must order.
+  std::vector<int> range_scan(int lo, int hi) {
     using set_key = typename Set::key_type;
     const std::uint64_t invoke =
         clock_.fetch_add(1, std::memory_order_acq_rel);
-    const std::vector<set_key> raw = set.range_scan(
+    const std::vector<set_key> raw = set_.range_scan(
         static_cast<set_key>(lo), static_cast<set_key>(hi));
     const std::uint64_t response =
         clock_.fetch_add(1, std::memory_order_acq_rel);
     std::vector<int> result;
     result.reserve(raw.size());
     for (const set_key& k : raw) result.push_back(static_cast<int>(k));
+    for (std::size_t i = 0; i < result.size(); ++i) {
+      LFBST_ASSERT(result[i] >= lo && result[i] < hi,
+                   "range_scan returned a key outside [lo, hi)");
+      LFBST_ASSERT(i == 0 || result[i - 1] < result[i],
+                   "range_scan result not sorted/unique");
+    }
     std::lock_guard<std::mutex> g(mutex_);
     std::size_t next = 0;  // result is sorted: one linear merge suffices
     for (int k = lo; k < hi; ++k) {
@@ -87,8 +94,14 @@ class recorder {
     return result;
   }
 
+  /// The set under test — for scripts that drive control-plane calls
+  /// (e.g. sharded_set::migrate_splitter) racing the recorded
+  /// operations. Those calls append no history entries: they must not
+  /// change membership at all.
+  [[nodiscard]] Set& tree() noexcept { return set_; }
+
   /// The completed history; call only after all recording threads have
-  /// joined.
+  /// finished.
   [[nodiscard]] history take() {
     std::lock_guard<std::mutex> g(mutex_);
     return std::move(ops_);
@@ -121,6 +134,7 @@ class recorder {
     return results;
   }
 
+  Set& set_;
   std::atomic<std::uint64_t> clock_{0};
   std::mutex mutex_;
   history ops_;

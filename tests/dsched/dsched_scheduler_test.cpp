@@ -4,12 +4,14 @@
 // replay fidelity) can be checked exactly.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/thread_id.hpp"
 #include "dsched/scheduler.hpp"
 #include "dsched/strategies.hpp"
 
@@ -181,14 +183,61 @@ TEST(DschedScheduler, DfsRespectsItsBudget) {
 }
 
 TEST(DschedScheduler, StepBudgetExhaustionThrowsAfterUnblocking) {
-  // No shared state in the threads: once the budget blows they run
-  // free (concurrently) to completion so the scheduler can join them.
+  // No shared state in the threads: once the budget blows they are run
+  // round-robin to completion, and then run() throws.
   auto spin = [] {
     for (int i = 0; i < 100; ++i) schedule_point();
   };
   EXPECT_THROW(scheduler::run({spin, spin}, &first_runnable,
                               /*max_steps=*/10),
                std::runtime_error);
+}
+
+TEST(DschedScheduler, StepBudgetDrainLetsASpinnerSeeAnotherThreadsStep) {
+  // Thread 0 waits through schedule points for a flag that thread 1
+  // sets several points in, the shape of sharded_set's quiescence wait
+  // in a migration. The strategy starves thread 1 until the budget
+  // blows; the drain must still run it, or run() never returns.
+  std::atomic<bool> flag{false};
+  auto waiter = [&flag] {
+    while (!flag.load()) schedule_point();
+  };
+  auto setter = [&flag] {
+    for (int i = 0; i < 5; ++i) schedule_point();
+    flag.store(true);
+  };
+  EXPECT_THROW(scheduler::run({waiter, setter}, &first_runnable,
+                              /*max_steps=*/10),
+               std::runtime_error);
+}
+
+TEST(DschedScheduler, EachLogicalThreadRunsUnderItsOwnThreadIndex) {
+  // Node pools, epoch records, hazard slots and gate stripes key on
+  // this_thread_index(), so logical threads must not share one. Their
+  // slots go back to the table after each run: 2000 runs of 32 threads
+  // take far more than the table's max_threads slots in total.
+  const unsigned coordinator = this_thread_index();
+  constexpr unsigned kThreads = scheduler::max_logical_threads;
+  random_walk walk(5);
+  for (int run = 0; run < 2000; ++run) {
+    std::vector<unsigned> before(kThreads), after(kThreads);
+    std::vector<scheduler::thread_fn> fns;
+    for (unsigned tid = 0; tid < kThreads; ++tid) {
+      fns.push_back([tid, &before, &after] {
+        before[tid] = this_thread_index();
+        schedule_point();
+        after[tid] = this_thread_index();
+      });
+    }
+    scheduler::run(std::move(fns), [&walk](std::size_t s, std::uint32_t m) {
+      return walk(s, m);
+    });
+    ASSERT_EQ(before, after) << "run " << run;
+    std::set<unsigned> distinct(before.begin(), before.end());
+    ASSERT_EQ(distinct.size(), kThreads) << "run " << run;
+    ASSERT_EQ(distinct.count(coordinator), 0u) << "run " << run;
+    ASSERT_EQ(this_thread_index(), coordinator) << "run " << run;
+  }
 }
 
 }  // namespace

@@ -137,7 +137,7 @@ void run_recorded_histories(int rounds) {
   pcg32 seed_rng(987);
   for (int round = 0; round < rounds; ++round) {
     Tree tree;
-    lincheck::recorder rec;
+    lincheck::recorder rec(tree);
     constexpr unsigned kThreads = 3;
     constexpr int kOpsPerThread = 6;  // 18 ops: fast to check exhaustively
     spin_barrier barrier(kThreads);
@@ -151,13 +151,13 @@ void run_recorded_histories(int rounds) {
           const int key = static_cast<int>(rng.bounded(4));  // hot keys
           switch (rng.bounded(3)) {
             case 0:
-              rec.insert(tree, key);
+              rec.insert(key);
               break;
             case 1:
-              rec.erase(tree, key);
+              rec.erase(key);
               break;
             default:
-              rec.contains(tree, key);
+              rec.contains(key);
           }
         }
       });

@@ -186,7 +186,7 @@ TEST(MigrationLincheck, HistoriesStayLinearizableAcrossSplitterFlips) {
   pcg32 seed_rng(555);
   for (int round = 0; round < 150; ++round) {
     set_type set(2, 0, 16);
-    lincheck::recorder rec;
+    lincheck::recorder rec(set);
     constexpr unsigned kThreads = 3;
     spin_barrier barrier(kThreads + 1);
     const std::uint64_t base_seed = seed_rng.next64();
@@ -204,26 +204,26 @@ TEST(MigrationLincheck, HistoriesStayLinearizableAcrossSplitterFlips) {
           if (i == scan_slot) {
             // [4, 12) straddles every splitter target the migrator
             // visits (4, 12 and 8), so scans observe the moving range.
-            rec.range_scan(set, 4, 12);
+            rec.range_scan(4, 12);
             continue;
           }
           const int key = static_cast<int>(rng.bounded(16));
           switch (rng.bounded(4)) {
             case 0:
-              rec.insert(set, key);
+              rec.insert(key);
               break;
             case 1:
-              rec.erase(set, key);
+              rec.erase(key);
               break;
             case 2:
-              rec.contains(set, key);
+              rec.contains(key);
               break;
             default: {
               const int other = static_cast<int>(rng.bounded(16));
               if (rng.bounded(2) == 0) {
-                rec.insert_batch(set, {key, other});
+                rec.insert_batch({key, other});
               } else {
-                rec.erase_batch(set, {key, other});
+                rec.erase_batch({key, other});
               }
               break;
             }

@@ -132,7 +132,7 @@ TEST(ShardedConcurrent, BatchElementsAreLinearizable) {
   constexpr unsigned kWorkers = 3;
   for (int h = 0; h < kHistories; ++h) {
     shard::sharded_set<nm_tree<int>> set(4, 0, 16);
-    lincheck::recorder rec;
+    lincheck::recorder rec(set);
     spin_barrier barrier(kWorkers);
     std::vector<std::thread> workers;
     for (unsigned tid = 0; tid < kWorkers; ++tid) {
@@ -147,26 +147,18 @@ TEST(ShardedConcurrent, BatchElementsAreLinearizable) {
             keys.push_back(static_cast<int>(rng.bounded(16)));
           }
           switch (rng.bounded(3)) {
-            case 0: rec.insert_batch(set, keys); break;
-            case 1: rec.erase_batch(set, keys); break;
-            default: rec.contains_batch(set, keys);
+            case 0: rec.insert_batch(keys); break;
+            case 1: rec.erase_batch(keys); break;
+            default: rec.contains_batch(keys);
           }
         }
       });
     }
     for (auto& t : workers) t.join();
 
-    lincheck::history hist = rec.take();
     // Terminal observations, strictly after everything else.
-    std::uint64_t ts = 1;
-    for (const auto& op : hist) {
-      ts = std::max(ts, op.response + 1);
-    }
-    for (int k = 0; k < 16; ++k) {
-      hist.push_back({lincheck::op_kind::contains, k, set.contains(k), ts,
-                      ts});
-      ++ts;
-    }
+    for (int k = 0; k < 16; ++k) rec.contains(k);
+    const lincheck::history hist = rec.take();
     ASSERT_LE(hist.size(), lincheck::checker::max_ops);
     EXPECT_TRUE(lincheck::checker::is_linearizable(hist))
         << "history " << h << " not linearizable";
@@ -188,7 +180,7 @@ TEST(ShardedConcurrent, ScanResultsAreLinearizable) {
       ASSERT_TRUE(set.insert(k));  // pre-population, outside the history
       initial_state |= std::uint64_t{1} << k;
     }
-    lincheck::recorder rec;
+    lincheck::recorder rec(set);
     spin_barrier barrier(3);
     std::vector<std::thread> workers;
     for (unsigned tid = 0; tid < 2; ++tid) {
@@ -199,28 +191,22 @@ TEST(ShardedConcurrent, ScanResultsAreLinearizable) {
         for (int op = 0; op < 4; ++op) {
           const int k = static_cast<int>(rng.bounded(16));
           if (rng.bounded(2) == 0) {
-            rec.insert(set, k);
+            rec.insert(k);
           } else {
-            rec.erase(set, k);
+            rec.erase(k);
           }
         }
       });
     }
     workers.emplace_back([&] {
       barrier.arrive_and_wait();
-      rec.range_scan(set, 2, 14);  // 12 history entries per scan
-      rec.range_scan(set, 0, 8);
+      rec.range_scan(2, 14);  // 12 history entries per scan
+      rec.range_scan(0, 8);
     });
     for (auto& t : workers) t.join();
 
-    lincheck::history hist = rec.take();
-    std::uint64_t ts = 1;
-    for (const auto& op : hist) ts = std::max(ts, op.response + 1);
-    for (int k = 0; k < 16; ++k) {
-      hist.push_back({lincheck::op_kind::contains, k, set.contains(k), ts,
-                      ts});
-      ++ts;
-    }
+    for (int k = 0; k < 16; ++k) rec.contains(k);
+    const lincheck::history hist = rec.take();
     ASSERT_LE(hist.size(), lincheck::checker::max_ops);
     EXPECT_TRUE(lincheck::checker::is_linearizable(hist, initial_state))
         << "history " << h << " not linearizable";
