@@ -13,8 +13,9 @@
 //
 // Output: one table per cell with a throughput column per algorithm and
 // the paper's headline ratio (NM vs best rival); plus a final CSV dump
-// (--csv to print only the CSV). --extended adds the related-work DVY
-// tree (paper §1) and the coarse-lock floor to every cell.
+// (--csv to print only the CSV). --extended adds the cache-conscious
+// multiway tree (docs/MULTIWAY.md) and the coarse-lock floor to every
+// cell.
 //
 // Structured output:
 //   --json <path>   write the whole grid as an lfbst-bench-v1 document
@@ -121,8 +122,8 @@ int main(int argc, char** argv) {
         series.push_back(std::move(s));
       };
       if (extended) {
-        // Paper roster + the §1 related-work DVY tree, the cache-
-        // conscious multiway tree (docs/MULTIWAY.md) and coarse floor.
+        // Paper roster + the cache-conscious multiway tree
+        // (docs/MULTIWAY.md) and the coarse floor.
         for_each_algorithm<long>(measure_one);
       } else {
         for_each_paper_algorithm<long>(measure_one);

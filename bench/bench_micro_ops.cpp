@@ -115,7 +115,6 @@ LFBST_REGISTER(nm_tree<long>, "NM-BST");
 LFBST_REGISTER(efrb_tree<long>, "EFRB-BST");
 LFBST_REGISTER(hj_tree<long>, "HJ-BST");
 LFBST_REGISTER(bcco_tree<long>, "BCCO-BST");
-LFBST_REGISTER(dvy_tree<long>, "DVY-BST");
 LFBST_REGISTER(coarse_tree<long>, "Coarse-BST");
 
 using nm_epoch = nm_tree<long, std::less<long>, reclaim::epoch>;

@@ -1,6 +1,6 @@
 // Sharded front-end evaluation: throughput of shard::sharded_set as a
 // grid of shard count x thread count, against the unsharded NM-BST as
-// the zero-front-end baseline. Three studies land in one report:
+// the zero-front-end baseline. Five studies land in one report:
 //
 //   sweep   : Mops/s per (algorithm, shards, threads) cell under the
 //             uniform-50/25/25 mix. Baseline rows carry shards=0
@@ -19,9 +19,6 @@
 //             max-shard-share imbalance gauge sampled at the start and
 //             end of the run (check_rebalance gates: adaptive must beat
 //             static on skew and drive the share toward 1/shards).
-//   numa    : shard-slot placement policy none vs interleave at the top
-//             grid cell (informational on single-node machines; the
-//             cross-socket sweep when the runner has multiple nodes).
 //
 // Defaults are laptop-sized; scale with flags:
 //   bench_sharded --millis 2000 --threads 1,2,4,8 --shards 1,2,4,8,16
@@ -49,7 +46,6 @@
 #include "harness/zipf.hpp"
 #include "obs/export.hpp"
 #include "obs/heatmap.hpp"
-#include "shard/numa.hpp"
 #include "shard/rebalancer.hpp"
 
 namespace {
@@ -463,49 +459,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- numa study ------------------------------------------------------
-  // Shard-slot placement policy at the top grid cell. On a single-node
-  // machine both rows run the same code path (placement degrades to a
-  // no-op), so the rows are informational there; on a multi-socket
-  // runner the nodes column reports the detected topology.
-  text_table numa_tbl(
-      {"study", "mode", "nodes", "shards", "threads", "mops_per_sec"});
-  {
-    const std::size_t nn = shard::numa::topology::cached().node_count();
-    const std::int64_t na_shards = shard_counts.back();
-    const std::int64_t na_threads = threads.back();
-    cfg.threads = static_cast<unsigned>(na_threads);
-    if (!csv_only) {
-      std::printf("\n=== NUMA placement (nodes=%zu, shards=%lld, "
-                  "threads=%lld) ===\n",
-                  nn, static_cast<long long>(na_shards),
-                  static_cast<long long>(na_threads));
-    }
-    for (const bool interleave : {false, true}) {
-      using na_set = shard::sharded_set<nm_tree<long>>;
-      shard::numa::policy placement;
-      placement.mode = interleave ? shard::numa::placement::interleave
-                                  : shard::numa::placement::none;
-      const run_stats stats = aggregate_runs(
-          [&] {
-            na_set set(na_set::router_type(
-                           static_cast<std::size_t>(na_shards), 0,
-                           static_cast<long>(key_range)),
-                       placement);
-            return run_workload(set, cfg).mops_per_second();
-          },
-          runs);
-      numa_tbl.add_row({"numa", interleave ? "interleave" : "none",
-                        std::to_string(nn), std::to_string(na_shards),
-                        std::to_string(na_threads),
-                        format("%.4f", stats.mean)});
-      if (!csv_only) {
-        std::printf("  placement=%-10s  %8.3f Mops/s\n",
-                    interleave ? "interleave" : "none", stats.mean);
-      }
-    }
-  }
-
   if (!csv_only) {
     std::printf("\n=== Merged per-shard counters (recording run) ===\n");
     metrics_tbl.print();
@@ -541,9 +494,6 @@ int main(int argc, char** argv) {
     const obs::json::value rebalance_rows =
         obs::rows_from_table(rebalance_tbl.header(), rebalance_tbl.rows());
     for (const auto& row : rebalance_rows.items()) report.add_result(row);
-    const obs::json::value numa_rows =
-        obs::rows_from_table(numa_tbl.header(), numa_tbl.rows());
-    for (const auto& row : numa_rows.items()) report.add_result(row);
     if (!report.write_file(path)) return 1;
     if (!csv_only) std::printf("\nJSON report: %s\n", path.c_str());
   }

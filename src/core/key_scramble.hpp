@@ -395,12 +395,6 @@ class scrambled_set {
     return inner_.shard(i);
   }
 
-  [[nodiscard]] int shard_numa_node(std::size_t i) const
-    requires requires(const Set& t) { t.shard_numa_node(0); }
-  {
-    return inner_.shard_numa_node(i);
-  }
-
   [[nodiscard]] auto& router() const
     requires requires(const Set& t) { t.router(); }
   {

@@ -7,7 +7,6 @@
 
 #include "baselines/bcco_tree.hpp"
 #include "baselines/coarse_tree.hpp"
-#include "baselines/dvy_tree.hpp"
 #include "baselines/efrb_tree.hpp"
 #include "baselines/hj_tree.hpp"
 #include "core/natarajan_tree.hpp"
@@ -26,14 +25,12 @@ void for_each_paper_algorithm(F&& fn) {
   fn.template operator()<bcco_tree<Key>>();
 }
 
-/// The paper's roster plus the related-work DVY tree (described in the
-/// paper's §1 but not in its evaluation), the cache-conscious multiway
-/// tree (docs/MULTIWAY.md, tuned default fanout for the key width), and
-/// the coarse-lock sanity floor.
+/// The paper's roster plus the cache-conscious multiway tree
+/// (docs/MULTIWAY.md, tuned default fanout for the key width) and the
+/// coarse-lock sanity floor.
 template <typename Key, typename F>
 void for_each_algorithm(F&& fn) {
   for_each_paper_algorithm<Key>(std::forward<F>(fn));
-  fn.template operator()<dvy_tree<Key>>();
   fn.template operator()<kary_tree<Key>>();
   fn.template operator()<coarse_tree<Key>>();
 }

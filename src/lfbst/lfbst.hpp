@@ -47,7 +47,6 @@
 
 #include "baselines/bcco_tree.hpp"
 #include "baselines/coarse_tree.hpp"
-#include "baselines/dvy_tree.hpp"
 #include "baselines/efrb_tree.hpp"
 #include "baselines/hj_tree.hpp"
 
@@ -58,7 +57,6 @@ static_assert(ConcurrentSet<efrb_tree<long>>);
 static_assert(ConcurrentSet<hj_tree<long>>);
 static_assert(ConcurrentSet<bcco_tree<long>>);
 static_assert(ConcurrentSet<coarse_tree<long>>);
-static_assert(ConcurrentSet<dvy_tree<long>>);
 static_assert(ConcurrentSet<kary_tree<long, 4>>);
 static_assert(ConcurrentSet<kary_tree<long>>);  // tuned default fanout
 static_assert(ConcurrentSet<

@@ -27,8 +27,8 @@
 // heatmap's key interval.
 // Rebalancing flags (docs/SHARDING.md): --rebalance arms the adaptive
 // rebalancer (heatmap-guided online subrange migrations),
-// --rebalance-ms its decision interval, --rebalance-threshold the
-// imbalance trigger ratio, --numa=1 NUMA-interleaved shard placement.
+// --rebalance-ms its decision interval, --rebalance-threshold-pct the
+// imbalance trigger ratio in percent.
 // Shape-resilience flag (docs/RESILIENCE.md): --scramble=SEED wraps the
 // sharded set in lfbst::scrambled_set, bijectively mixing every key at
 // the protocol boundary so adversarial insertion orders (sequential
@@ -56,7 +56,6 @@
 #include "obs/trace.hpp"
 #include "server/server.hpp"
 #include "server/stat_endpoint.hpp"
-#include "shard/numa.hpp"
 #include "shard/rebalancer.hpp"
 #include "shard/sharded_set.hpp"
 
@@ -293,7 +292,7 @@ int run_server(const lfbst::bench::flags& flags,
 int main(int argc, char** argv) {
   const lfbst::bench::flags flags(argc, argv, {
       "drain-ms", "flight-capacity", "flight-file", "flight-ms", "heatmap-hi",
-      "heatmap-lo", "host", "json", "metrics-port", "numa", "port", "rebalance",
+      "heatmap-lo", "host", "json", "metrics-port", "port", "rebalance",
       "rebalance-ms", "rebalance-threshold-pct", "scan-page", "scramble",
       "shards", "telemetry-ms", "threads"});
   lfbst::server::server_config cfg;
@@ -305,10 +304,6 @@ int main(int argc, char** argv) {
   cfg.drain_deadline_ms =
       static_cast<std::uint64_t>(flags.get_int("drain-ms", 5000));
 
-  lfbst::shard::numa::policy placement;
-  if (flags.get_int("numa", 0) != 0) {
-    placement.mode = lfbst::shard::numa::placement::interleave;
-  }
   sharded_type::router_type router(
       static_cast<std::size_t>(flags.get_int("shards", 8)),
       std::numeric_limits<std::int64_t>::min(),
@@ -319,9 +314,9 @@ int main(int argc, char** argv) {
         static_cast<std::uint64_t>(flags.get_int("scramble", 1));
     std::printf("lfbst_serve: key scrambling on (seed %llu)\n",
                 static_cast<unsigned long long>(seed));
-    scrambled_type set(seed, router, placement);
+    scrambled_type set(seed, router);
     return run_server(flags, cfg, set, /*scrambled=*/true);
   }
-  sharded_type set(router, placement);
+  sharded_type set(router);
   return run_server(flags, cfg, set, /*scrambled=*/false);
 }

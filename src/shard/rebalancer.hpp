@@ -40,7 +40,6 @@
 
 #include "obs/heatmap.hpp"
 #include "obs/metrics.hpp"
-#include "shard/numa.hpp"
 
 namespace lfbst::shard {
 
@@ -54,8 +53,6 @@ struct rebalancer_options {
   std::uint64_t min_window_ops = 2048;
   /// Traffic-weighted split points when set (otherwise range midpoint).
   const obs::key_heatmap* heatmap = nullptr;
-  /// Pin the background thread to this NUMA node (-1: don't pin).
-  int pin_node = -1;
 };
 
 /// Drives sharded_set migrations from its per-shard counters. Set must
@@ -210,9 +207,6 @@ class rebalancer {
   }
 
   void run() {
-    if (opts_.pin_node >= 0) {
-      (void)numa::pin_current_thread_to_node(opts_.pin_node);
-    }
     std::unique_lock<std::mutex> lk(mu_);
     while (!stop_.load(std::memory_order_relaxed)) {
       cv_.wait_for(lk, std::chrono::milliseconds(opts_.interval_ms), [&] {

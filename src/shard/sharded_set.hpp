@@ -96,7 +96,6 @@
 #include "core/stats.hpp"
 #include "obs/histogram.hpp"
 #include "obs/metrics.hpp"
-#include "shard/numa.hpp"
 #include "shard/router.hpp"
 
 namespace lfbst::shard {
@@ -199,12 +198,11 @@ class sharded_set {
   sharded_set(std::size_t shard_count, key_type lo, key_type hi)
       : sharded_set(Router(shard_count, lo, hi)) {}
 
-  explicit sharded_set(Router router, numa::policy placement = {})
-      : numa_(placement) {
+  explicit sharded_set(Router router) {
     const std::size_t count = router.shard_count();
     shards_.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
-      shards_.push_back(make_slot(numa_.node_for_shard(i, count)));
+      shards_.push_back(std::make_unique<slot>());
     }
     publish(partition{std::move(router), std::nullopt});
   }
@@ -499,10 +497,6 @@ class sharded_set {
   [[nodiscard]] const Tree& shard(std::size_t i) const noexcept {
     return shards_[i]->tree;
   }
-  /// The NUMA node shard i's slot was placed on (-1: unplaced).
-  [[nodiscard]] int shard_numa_node(std::size_t i) const noexcept {
-    return numa_.node_for_shard(i, shards_.size());
-  }
 
   // --- merged metrics (obs::recording inner trees only) ---------------
   // The S per-shard registries fold with the obs merge algebra into the
@@ -573,23 +567,6 @@ class sharded_set {
   struct alignas(cacheline_size) slot {
     Tree tree;
   };
-
-  using slot_ptr = std::unique_ptr<slot, void (*)(slot*)>;
-
-  /// Slot storage: NUMA-bound pages when the placement policy names a
-  /// node (numa.hpp), the ordinary heap otherwise or on fallback.
-  static slot_ptr make_slot(int node) {
-    if (node >= 0) {
-      if (void* raw = numa::alloc_for_node(sizeof(slot), node)) {
-        slot* s = new (raw) slot;
-        return slot_ptr(s, [](slot* p) {
-          p->~slot();
-          numa::free_for_node(p);
-        });
-      }
-    }
-    return slot_ptr(new slot, [](slot* p) { delete p; });
-  }
 
   /// What operations route by: an immutable router and, while a
   /// migration runs, its record, published together through part_ so
@@ -921,8 +898,7 @@ class sharded_set {
     return results;
   }
 
-  numa::policy numa_;
-  std::vector<slot_ptr> shards_;
+  std::vector<std::unique_ptr<slot>> shards_;
   // Partition versioning: ops load `part_` (the live snapshot) inside
   // the gate; superseded snapshots stay in `partitions_` until a
   // migration's second quiesce proves no operation can still hold one.

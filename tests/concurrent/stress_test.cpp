@@ -1,8 +1,8 @@
-// Concurrent stress tests, typed over every implementation. On this
-// class of machine threads are heavily preempted mid-operation, which is
-// exactly the regime where helping paths and marked-edge invariants earn
-// their keep (a preempted delete is indistinguishable from a stalled
-// one).
+// Concurrent stress tests, typed over every tree on the shared roster
+// (contract/tree_roster.hpp). On this class of machine threads are
+// heavily preempted mid-operation, which is exactly the regime where
+// helping paths and marked-edge invariants earn their keep (a preempted
+// delete is indistinguishable from a stalled one).
 //
 // Three independent oracles:
 //   * conservation — final size must equal successful inserts minus
@@ -21,6 +21,7 @@
 
 #include "common/barrier.hpp"
 #include "common/rng.hpp"
+#include "contract/tree_roster.hpp"
 #include "lfbst/lfbst.hpp"
 
 namespace lfbst {
@@ -34,38 +35,7 @@ class ConcurrentStress : public ::testing::Test {
   Tree tree;
 };
 
-using AllTrees =
-    ::testing::Types<nm_tree<long>, efrb_tree<long>, hj_tree<long>,
-                     bcco_tree<long>, coarse_tree<long>, dvy_tree<long>,
-                     dvy_tree<long, std::less<long>, reclaim::epoch>,
-                     nm_tree<long, std::less<long>, reclaim::epoch>,
-                     nm_tree<long, std::less<long>, reclaim::leaky,
-                             stats::none, tag_policy::cas_only>,
-                     nm_tree<long, std::less<long>, reclaim::hazard>,
-                     // multiway k-ary tree, across its policy axes
-                     kary_tree<long, 4>,
-                     kary_tree<long, 8, std::less<long>, reclaim::epoch>,
-                     kary_tree<long, 8, std::less<long>, reclaim::hazard>,
-                     kary_tree<long, 16, std::less<long>, reclaim::hazard,
-                               stats::none, atomics::native,
-                               restart::from_root>>;
-
-class TreeNames {
- public:
-  template <typename T>
-  static std::string GetName(int i) {
-    // gtest filters treat '-' as the negative-pattern separator, so the
-    // algorithm names ("NM-BST") must be sanitized or ctest's generated
-    // --gtest_filter would silently match zero tests.
-    std::string name(T::algorithm_name);
-    for (char& c : name) {
-      if (c == '-') c = '_';
-    }
-    return name + "_" + std::to_string(i);
-  }
-};
-
-TYPED_TEST_SUITE(ConcurrentStress, AllTrees, TreeNames);
+TYPED_TEST_SUITE(ConcurrentStress, tree_roster::types, tree_roster::names);
 
 TYPED_TEST(ConcurrentStress, MixedSoupConservation) {
   auto& set = this->tree;

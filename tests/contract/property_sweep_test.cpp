@@ -108,11 +108,6 @@ TEST_P(PropertySweep, CoarseTreeMatchesOracle) {
   run_sweep(t, GetParam(), 30'000);
 }
 
-TEST_P(PropertySweep, DvyTreeMatchesOracle) {
-  dvy_tree<long> t;
-  run_sweep(t, GetParam(), 30'000);
-}
-
 TEST_P(PropertySweep, KaryTreeMatchesOracle) {
   kary_tree<long, 4> t;
   run_sweep(t, GetParam(), 30'000);

@@ -1,8 +1,9 @@
 // The cross-implementation contract suite: every tree in the repo must
 // satisfy the same dictionary semantics. Written once as a typed gtest
-// suite and instantiated for all five implementations, so a behavioural
-// divergence between the paper's algorithm and any baseline shows up as
-// a single failing (Algorithm, Test) cell.
+// suite and instantiated for every tree on the shared roster
+// (tree_roster.hpp), so a behavioural divergence between the paper's
+// algorithm and any baseline shows up as a single failing (Algorithm,
+// Test) cell.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include "common/rng.hpp"
 #include "core/concurrent_set.hpp"
 #include "lfbst/lfbst.hpp"
+#include "tree_roster.hpp"
 
 namespace lfbst {
 namespace {
@@ -22,39 +24,7 @@ class SetContract : public ::testing::Test {
   Tree tree;
 };
 
-using AllTrees =
-    ::testing::Types<nm_tree<long>, efrb_tree<long>, hj_tree<long>,
-                     bcco_tree<long>, coarse_tree<long>, dvy_tree<long>,
-                     dvy_tree<long, std::less<long>, reclaim::epoch>,
-                     // policy variants of the core algorithm
-                     nm_tree<long, std::less<long>, reclaim::epoch>,
-                     nm_tree<long, std::less<long>, reclaim::leaky,
-                             stats::none, tag_policy::cas_only>,
-                     nm_tree<long, std::less<long>, reclaim::hazard>,
-                     // multiway k-ary tree, across its policy axes
-                     kary_tree<long, 4>,
-                     kary_tree<long, 8, std::less<long>, reclaim::epoch>,
-                     kary_tree<long, 8, std::less<long>, reclaim::hazard>,
-                     kary_tree<long, 16, std::less<long>, reclaim::hazard,
-                               stats::none, atomics::native,
-                               restart::from_root>>;
-
-class TreeNames {
- public:
-  template <typename T>
-  static std::string GetName(int i) {
-    // gtest filters treat '-' as the negative-pattern separator, so the
-    // algorithm names ("NM-BST") must be sanitized or ctest's generated
-    // --gtest_filter would silently match zero tests.
-    std::string name(T::algorithm_name);
-    for (char& c : name) {
-      if (c == '-') c = '_';
-    }
-    return name + "_" + std::to_string(i);
-  }
-};
-
-TYPED_TEST_SUITE(SetContract, AllTrees, TreeNames);
+TYPED_TEST_SUITE(SetContract, tree_roster::types, tree_roster::names);
 
 TYPED_TEST(SetContract, SatisfiesConcurrentSetConcept) {
   static_assert(ConcurrentSet<TypeParam>);

@@ -130,7 +130,7 @@ TEST(Runner, WorksAcrossAllAlgorithms) {
     EXPECT_EQ(t.validate(), "") << Tree::algorithm_name;
     ++count;
   });
-  EXPECT_EQ(count, 7);
+  EXPECT_EQ(count, 6);
 }
 
 TEST(Runner, WorksAcrossShardedAlgorithms) {

@@ -2,9 +2,8 @@
 // splitter surgery (quantize_down / with_splitter), the full
 // migrate_splitter lifecycle on an idle set (keys move, membership is
 // unchanged, the swapped router routes every key to the shard that now
-// holds it), the new obs counters, the rebalancer's decision loop, and
-// the NUMA placement policy's single-node degradation. The concurrent
-// and adversarial versions of the same protocol live in
+// holds it), the new obs counters and the rebalancer's decision loop.
+// The concurrent and adversarial versions of the same protocol live in
 // rebalance_concurrent_test.cpp / rebalance_stress_test.cpp; suite
 // names keep the Migration/Rebalance stems so CI's promoted TSan step
 // (-R 'Rebalance|Migration') picks all of them up.
@@ -16,7 +15,6 @@
 
 #include "core/natarajan_tree.hpp"
 #include "obs/heatmap.hpp"
-#include "shard/numa.hpp"
 #include "shard/rebalancer.hpp"
 #include "shard/sharded_set.hpp"
 
@@ -266,53 +264,6 @@ TEST(RebalancerUnit, HeatmapGuidesTheSplitTowardTraffic) {
   }
   ASSERT_GT(reb.rebalance_once(), 0u);
   EXPECT_LT(set.router().splitter(1), 512);
-  EXPECT_EQ(set.validate(), "");
-}
-
-// --- NUMA placement --------------------------------------------------
-
-TEST(MigrationNuma, TopologyDetectsAtLeastOneNode) {
-  const auto& topo = shard::numa::topology::cached();
-  EXPECT_GE(topo.node_count(), 1u);
-}
-
-TEST(MigrationNuma, InactivePolicyAssignsNoNodes) {
-  shard::numa::policy none;
-  EXPECT_FALSE(none.active());
-  EXPECT_EQ(none.node_for_shard(0, 8), -1);
-}
-
-TEST(MigrationNuma, ActivePolicySpreadsShardsInContiguousBlocks) {
-  shard::numa::policy pol;
-  pol.mode = shard::numa::placement::interleave;
-  if (!pol.active()) {
-    // Single-node machine: the policy must degrade to "no placement".
-    EXPECT_EQ(pol.node_for_shard(0, 8), -1);
-    return;
-  }
-  const auto nodes =
-      static_cast<int>(shard::numa::topology::cached().node_count());
-  int prev = 0;
-  for (std::size_t s = 0; s < 8; ++s) {
-    const int n = pol.node_for_shard(s, 8);
-    EXPECT_GE(n, 0);
-    EXPECT_LT(n, nodes);
-    EXPECT_GE(n, prev);  // contiguous, monotone blocks
-    prev = n;
-  }
-}
-
-TEST(MigrationNuma, InterleavedSetWorksOnAnyTopology) {
-  using set_type = shard::sharded_set<recorded_tree>;
-  shard::numa::policy pol;
-  pol.mode = shard::numa::placement::interleave;
-  set_type set(set_type::router_type(4, 0, 4096), pol);
-  for (long k = 0; k < 4096; k += 9) ASSERT_TRUE(set.insert(k));
-  for (long k = 0; k < 4096; ++k) EXPECT_EQ(set.contains(k), k % 9 == 0);
-  for (std::size_t s = 0; s < set.shard_count(); ++s) {
-    const int node = set.shard_numa_node(s);
-    EXPECT_GE(node, -1);
-  }
   EXPECT_EQ(set.validate(), "");
 }
 

@@ -40,7 +40,6 @@ STUDY_REQUIRED = {
     "rebalance": {"study", "mode", "workload", "shards", "threads",
                   "mops_per_sec", "migrations", "keys_migrated",
                   "share_start", "share_end"},
-    "numa": {"study", "mode", "nodes", "shards", "threads", "mops_per_sec"},
     "kary_zipf": {"study", "algorithm", "threads", "theta", "mops_per_sec"},
     "seek_depth": {"study", "stream", "algorithm", "scramble", "n", "shards",
                    "mops", "depth_p50", "depth_p99", "depth_max"},

@@ -72,7 +72,6 @@ int main(int argc, char** argv) {
   impls.push_back(any_set::make<efrb_tree<long>>());
   impls.push_back(any_set::make<hj_tree<long>>());
   impls.push_back(any_set::make<bcco_tree<long>>());
-  impls.push_back(any_set::make<dvy_tree<long>>());
   impls.push_back(any_set::make<kary_tree<long, 4>>());
   impls.push_back(any_set::make<kary_tree<long, 16>>());
   impls.push_back(any_set::make<coarse_tree<long>>());

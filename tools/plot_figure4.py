@@ -5,9 +5,6 @@ Usage:
     build/bench/bench_figure4 --json fig4.json [--full]
     tools/plot_figure4.py fig4.json fig4.png
 
-    # legacy CSV input (bench_figure4 --csv > fig4.csv):
-    tools/plot_figure4.py --legacy-csv fig4.csv fig4.png
-
 The JSON input is the "lfbst-bench-v1" document every bench's --json
 flag emits (see src/obs/export.hpp and tools/check_bench_json.py); the
 loader fails loudly on any schema mismatch rather than plotting partial
@@ -17,7 +14,6 @@ Requires matplotlib; degrades to an ASCII summary when it is
 unavailable.
 """
 
-import csv
 import json
 import sys
 from collections import defaultdict
@@ -76,18 +72,6 @@ def load_json(path):
     return _cells_from_rows(results)
 
 
-def load_csv(path):
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None or any(
-            c not in reader.fieldnames for c in REQUIRED_COLUMNS
-        ):
-            raise SchemaError(
-                f"{path}: CSV header must contain {REQUIRED_COLUMNS}"
-            )
-        return _cells_from_rows(reader)
-
-
 def ascii_summary(cells):
     for (key_range, workload), algos in sorted(cells.items()):
         print(f"--- {key_range} keys, {workload} ---")
@@ -141,15 +125,12 @@ def plot(cells, out_path):
 
 def main():
     args = sys.argv[1:]
-    legacy_csv = "--legacy-csv" in args
-    if legacy_csv:
-        args.remove("--legacy-csv")
     if not args:
         print(__doc__)
         return 2
     try:
-        cells = load_csv(args[0]) if legacy_csv else load_json(args[0])
-    except SchemaError as e:
+        cells = load_json(args[0])
+    except (SchemaError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     if not cells:
