@@ -1,8 +1,5 @@
 // Ablation studies for the design choices DESIGN.md calls out:
 //
-//   --study=tagging   BTS vs CAS-only tagging (the paper's §1/§6 claim
-//                     that the algorithm "can be easily modified to use
-//                     only CAS" — at what cost?)
 //   --study=reclaim   leaky (paper regime) vs epoch-based reclamation:
 //                     the price of a production memory policy.
 //   --study=fanout    the §6 k-ary generalization: fanout sweep of
@@ -70,35 +67,11 @@ double throughput(std::uint64_t millis, std::uint64_t range,
   Tree tree;
   workload_config cfg;
   cfg.key_range = range;
-  cfg.mix = write_dominated;  // maximizes tagging/reclaim traffic
+  cfg.mix = write_dominated;  // maximizes reclaim traffic
   cfg.threads = threads;
   cfg.duration = std::chrono::milliseconds(millis);
   cfg.seed = seed;
   return run_workload(tree, cfg).mops_per_second();
-}
-
-void study_tagging(std::uint64_t millis, std::uint64_t seed,
-                   obs::bench_report* report) {
-  std::printf("--- study: tagging (BTS vs CAS-only), write-dominated ---\n");
-  text_table tbl({"key_range", "threads", "bts Mops/s", "cas_only Mops/s",
-                  "bts/cas_only"});
-  for (std::uint64_t range : {1'000ULL, 100'000ULL}) {
-    for (unsigned threads : {1u, 4u}) {
-      const double bts =
-          throughput<nm_tree<long>>(millis, range, threads, seed);
-      const double cas = throughput<
-          nm_tree<long, std::less<long>, reclaim::leaky, stats::none,
-                  tag_policy::cas_only>>(millis, range, threads, seed);
-      tbl.add_row({std::to_string(range), std::to_string(threads),
-                   format("%.3f", bts), format("%.3f", cas),
-                   format("%.2fx", bts / cas)});
-    }
-  }
-  tbl.print();
-  export_table(report, "tagging", tbl);
-  std::printf("Expected: near-parity uncontended; BTS pulls ahead as "
-              "contention on the sibling word rises (one unconditional RMW "
-              "vs a CAS retry loop).\n\n");
 }
 
 void study_reclaim(std::uint64_t millis, std::uint64_t seed,
@@ -237,6 +210,14 @@ void study_multileaf(std::uint64_t millis, std::uint64_t seed,
 int main(int argc, char** argv) {
   const bench::flags flags(argc, argv, {"json", "millis", "seed", "study"});
   const std::string study = flags.get("study", "all");
+  if (study != "all" && study != "reclaim" && study != "fanout" &&
+      study != "multileaf" && study != "contention") {
+    std::fprintf(stderr,
+                 "unknown --study '%s' "
+                 "(all|reclaim|fanout|multileaf|contention)\n",
+                 study.c_str());
+    return 2;
+  }
   const auto millis = static_cast<std::uint64_t>(flags.get_int("millis", 200));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 13));
 
@@ -246,7 +227,6 @@ int main(int argc, char** argv) {
   report.config.set("millis", millis);
   report.config.set("seed", seed);
   obs::bench_report* rep = flags.has("json") ? &report : nullptr;
-  if (study == "all" || study == "tagging") study_tagging(millis, seed, rep);
   if (study == "all" || study == "reclaim") study_reclaim(millis, seed, rep);
   if (study == "all" || study == "fanout") study_fanout(millis, seed, rep);
   if (study == "all" || study == "multileaf") {

@@ -91,11 +91,11 @@ void ablation::study_contention(std::uint64_t millis, std::uint64_t seed,
               "threads on adjacent-leaf keys, %llu pairs ---\n",
               static_cast<unsigned long long>(kPairs));
   using nm_anchor = nm_tree<long, std::less<long>, reclaim::leaky,
-                            obs::recording, tag_policy::bts, void,
-                            atomics::native, restart::from_anchor>;
+                            obs::recording, void, atomics::native,
+                            restart::from_anchor>;
   using nm_root = nm_tree<long, std::less<long>, reclaim::leaky,
-                          obs::recording, tag_policy::bts, void,
-                          atomics::native, restart::from_root>;
+                          obs::recording, void, atomics::native,
+                          restart::from_root>;
   using efrb_rec =
       efrb_tree<long, std::less<long>, reclaim::leaky, obs::recording>;
   const window_sample nm =

@@ -137,8 +137,7 @@ LFBST_REGISTER(nm_hazard, "NM-BST-hazard");
 // the contended comparison lives in the "restart_policy" JSON study
 // below and in bench_ablation's "contention" study.
 using nm_root = nm_tree<long, std::less<long>, reclaim::leaky, stats::none,
-                        tag_policy::bts, void, atomics::native,
-                        restart::from_root>;
+                        void, atomics::native, restart::from_root>;
 LFBST_REGISTER(nm_root, "NM-BST-root");
 using kst4 = kary_tree<long, 4>;
 LFBST_REGISTER(kst4, "KST-4");
@@ -501,8 +500,8 @@ int run_json_mode(const lfbst::bench::flags& flags) {
   // restart policy is consulted only after a failed CAS, and this
   // measurement is single-threaded.
   atomics_row.template operator()<
-      nm_tree<long, std::less<long>, reclaim::leaky, recording,
-              tag_policy::bts, void, atomics::native, restart::from_root>>(
+      nm_tree<long, std::less<long>, reclaim::leaky, recording, void,
+              atomics::native, restart::from_root>>(
       "NM-BST-root");
   atomics_row.template operator()<
       efrb_tree<long, std::less<long>, reclaim::leaky, recording>>(
@@ -540,12 +539,12 @@ int run_json_mode(const lfbst::bench::flags& flags) {
                 c(obs::counter::seek_anchor_fallbacks)});
   };
   rp_row.template operator()<
-      nm_tree<long, std::less<long>, reclaim::leaky, obs::recording,
-              tag_policy::bts, void, atomics::native, restart::from_anchor>>(
+      nm_tree<long, std::less<long>, reclaim::leaky, obs::recording, void,
+              atomics::native, restart::from_anchor>>(
       "from_anchor");
   rp_row.template operator()<
-      nm_tree<long, std::less<long>, reclaim::leaky, obs::recording,
-              tag_policy::bts, void, atomics::native, restart::from_root>>(
+      nm_tree<long, std::less<long>, reclaim::leaky, obs::recording, void,
+              atomics::native, restart::from_root>>(
       "from_root");
 
   // Concurrent-scan study: self-checking rows (see measure_scan). One

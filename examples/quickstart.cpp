@@ -50,23 +50,20 @@ int main() {
   std::printf("epoch tree after churn: %zu keys, %zu retirements pending\n",
               recycling.size_slow(), recycling.reclaimer_pending());
 
-  // The paper's CAS-only variant (no BTS instruction), and the three
-  // baselines the paper compares against — all share the same interface.
-  lfbst::nm_tree<long, std::less<long>, lfbst::reclaim::leaky,
-                 lfbst::stats::none, lfbst::tag_policy::cas_only>
-      cas_only;
+  // The paper's tree and the three baselines it compares against share
+  // one interface.
+  lfbst::nm_tree<long> nm;
   lfbst::efrb_tree<long> efrb;
   lfbst::hj_tree<long> hj;
   lfbst::bcco_tree<long> bcco;
   for (auto k : {3L, 1L, 2L}) {
-    cas_only.insert(k);
+    nm.insert(k);
     efrb.insert(k);
     hj.insert(k);
     bcco.insert(k);
   }
-  std::printf("all five algorithms agree: %d %d %d %d\n",
-              cas_only.contains(2), efrb.contains(2), hj.contains(2),
-              bcco.contains(2));
+  std::printf("all four algorithms agree: %d %d %d %d\n", nm.contains(2),
+              efrb.contains(2), hj.contains(2), bcco.contains(2));
 
   // Structural self-check (used heavily by the test suite).
   std::printf("validate(): \"%s\" (empty string = healthy)\n",

@@ -5,7 +5,7 @@
 //   $ ./workload_explorer --algo nm --workload write-dominated \
 //         --keyrange 1000 --threads 4 --millis 1000
 //
-// Algorithms: nm | nm-cas | nm-epoch | efrb | hj | bcco | coarse
+// Algorithms: nm | nm-epoch | efrb | hj | bcco | coarse
 #include <cstdio>
 #include <string>
 
@@ -54,8 +54,8 @@ int main(int argc, char** argv) {
       "algo", "help", "keyrange", "millis", "seed", "threads", "workload"});
   if (flags.has("help")) {
     std::printf(
-        "usage: workload_explorer [--algo nm|nm-cas|nm-epoch|efrb|hj|bcco|"
-        "coarse]\n                        [--workload write-dominated|mixed|"
+        "usage: workload_explorer [--algo nm|nm-epoch|efrb|hj|bcco|coarse]\n"
+        "                        [--workload write-dominated|mixed|"
         "read-dominated]\n                        [--keyrange N] [--threads N]"
         " [--millis N] [--seed N]\n");
     return 0;
@@ -69,10 +69,6 @@ int main(int argc, char** argv) {
 
   const std::string algo = flags.get("algo", "nm");
   if (algo == "nm") return explore<nm_tree<long>>(cfg);
-  if (algo == "nm-cas") {
-    return explore<nm_tree<long, std::less<long>, reclaim::leaky,
-                           stats::none, tag_policy::cas_only>>(cfg);
-  }
   if (algo == "nm-epoch") {
     return explore<nm_tree<long, std::less<long>, reclaim::epoch>>(cfg);
   }

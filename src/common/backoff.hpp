@@ -10,16 +10,12 @@
 #include <cstdint>
 #include <thread>
 
-#if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
-#endif
-
 namespace lfbst {
 
 /// Single CPU relax hint (PAUSE on x86, YIELD on ARM, no-op otherwise).
 inline void cpu_relax() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
-  _mm_pause();
+  __builtin_ia32_pause();
 #elif defined(__aarch64__)
   asm volatile("yield" ::: "memory");
 #else

@@ -17,8 +17,7 @@
 //   * tagged_word<Node> — an atomic cell holding a tagged_ptr, with the
 //     three primitives the algorithm needs: load, CAS, and BTS
 //     (bit-test-and-set on the tag bit, realized as fetch_or — the exact
-//     lowering x86-64 uses for LOCK BTS — plus a CAS-only fallback for
-//     the paper's "can be easily modified to use only CAS" variant).
+//     lowering x86-64 uses for LOCK BTS).
 //
 // tagged_word takes an atomics policy (common/atomics_policy.hpp) as a
 // second parameter: the default atomics::native compiles every primitive
@@ -162,24 +161,6 @@ class tagged_word {
     Atomics::shared_step();
     return value_type::from_raw(
         word_.fetch_or(value_type::tag_bit, std::memory_order_acq_rel));
-  }
-
-  /// The paper's CAS-only tagging variant (§1, §6): emulate BTS with a
-  /// CAS retry loop. Equivalent observable behaviour, strictly more
-  /// instructions under contention — bench_ablation --study=tagging
-  /// quantifies the difference.
-  value_type bts_tag_cas_only() noexcept {
-    Atomics::shared_step();
-    std::uintptr_t observed = word_.load(std::memory_order_acquire);
-    while ((observed & value_type::tag_bit) == 0) {
-      Atomics::shared_step();
-      if (word_.compare_exchange_weak(observed, observed | value_type::tag_bit,
-                                      std::memory_order_acq_rel,
-                                      std::memory_order_acquire)) {
-        break;
-      }
-    }
-    return value_type::from_raw(observed);
   }
 
   /// Address of the underlying atomic, for tests that poke at raw state.

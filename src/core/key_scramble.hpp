@@ -15,7 +15,7 @@
 // is exactly invertible, so read-out surfaces (scans, for_each,
 // validate) un-mix and the client never observes a scrambled key.
 //
-// Three composable pieces:
+// Two composable pieces:
 //
 //   * scramble_key / unscramble_key — the bijection itself, on any
 //     integral key width. Forward = the splitmix64/murmur3-style
@@ -30,16 +30,6 @@
 //     order. An optional seed is XOR-folded in first — XOR with a
 //     constant is itself an involution — so deployments can make the
 //     permutation unpredictable to clients.
-//
-//   * scramble_less — a Compare policy for the trees' existing
-//     comparator axis: orders keys by their scrambled images. The tree
-//     then *stores* real keys but *shapes* itself by scrambled order.
-//     Ordered traversals (range_scan, for_each) follow scrambled
-//     order, so this form suits shape hardening of a tree used as an
-//     unordered set. NOTE: a tree ordered this way must NOT be placed
-//     under shard::sharded_set — the range router routes in numeric
-//     order and would mis-shard (sharded_set static_asserts against
-//     it; see router_order_compatible).
 //
 //   * scrambled_set<Set> — the boundary adapter (the form the server
 //     and benches use): scrambles on the way in, unscrambles on the
@@ -154,21 +144,6 @@ constexpr Key unscramble_key(Key key, std::uint64_t seed = 0) noexcept {
   x = static_cast<U>(x ^ static_cast<U>(seed));
   return static_cast<Key>(x);
 }
-
-/// Compare policy for the trees' comparator axis: strict weak order by
-/// scrambled image. nm_tree<long, scramble_less<long>> stores real
-/// keys but takes the shape of a random-insertion tree under any
-/// client stream. Must not be sharded under a range router (see file
-/// comment); scans yield scrambled order.
-template <typename Key, typename Inner = std::less<Key>>
-struct scramble_less {
-  std::uint64_t seed = 0;
-  Inner inner{};
-  [[nodiscard]] constexpr bool operator()(const Key& a,
-                                          const Key& b) const {
-    return inner(scramble_key(a, seed), scramble_key(b, seed));
-  }
-};
 
 /// Boundary adapter: an ordered set (nm_tree, kary_tree, a baseline,
 /// or shard::sharded_set over any of them) whose *stored* keys are the

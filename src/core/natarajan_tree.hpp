@@ -50,7 +50,6 @@
 //   Stats     — stats::none (default) or obs::recording (per-instance
 //               counters whose deltas give Table 1's costs, latency/seek
 //               histograms, event tracing — src/obs/).
-//   Tagging   — tag_policy::bts (default) or tag_policy::cas_only.
 //   Payload   — void (default: a set) or a mapped value type (a map —
 //               see core/nm_map.hpp). With a payload, leaves carry the
 //               value and three extra operations appear: get(),
@@ -99,7 +98,6 @@
 #include "core/restart_policy.hpp"
 #include "core/sentinel_key.hpp"
 #include "core/stats.hpp"
-#include "core/tag_policy.hpp"
 #include "reclaim/epoch.hpp"
 #include "reclaim/leaky.hpp"
 
@@ -109,12 +107,11 @@ struct nm_tree_test_access;  // white-box hooks for the test suite
 
 template <typename Key, typename Compare = std::less<Key>,
           typename Reclaimer = reclaim::leaky, typename Stats = stats::none,
-          typename Tagging = tag_policy::bts, typename Payload = void,
-          typename Atomics = atomics::native,
+          typename Payload = void, typename Atomics = atomics::native,
           typename Restart = restart::from_anchor>
 class nm_tree
-    : public ordered_scan<nm_tree<Key, Compare, Reclaimer, Stats, Tagging,
-                                  Payload, Atomics, Restart>,
+    : public ordered_scan<nm_tree<Key, Compare, Reclaimer, Stats, Payload,
+                                  Atomics, Restart>,
                           Key> {
   static constexpr bool is_map = !std::is_void_v<Payload>;
   // Contention management engages only under real concurrency: with
@@ -938,7 +935,7 @@ class nm_tree
     // Tag the sibling edge (line 106). Unconditional; freezes the edge
     // so parent can never again be an injection point.
     stats_.on_bts();
-    Tagging::tag(*sibling_field);
+    sibling_field->bts_tag();
 
     // Re-read flag and address (line 107); both are now frozen (a tagged
     // edge can no longer be flagged, and marked edges never change

@@ -30,8 +30,7 @@
 namespace lfbst {
 
 template <typename Key, typename T, typename Compare = std::less<Key>,
-          typename Reclaimer = reclaim::leaky, typename Stats = stats::none,
-          typename Tagging = tag_policy::bts>
-using nm_map = nm_tree<Key, Compare, Reclaimer, Stats, Tagging, T>;
+          typename Reclaimer = reclaim::leaky, typename Stats = stats::none>
+using nm_map = nm_tree<Key, Compare, Reclaimer, Stats, T>;
 
 }  // namespace lfbst

@@ -6,8 +6,7 @@
 //
 //   using sched_tree = lfbst::nm_tree<long, std::less<long>,
 //                                     lfbst::reclaim::leaky,
-//                                     lfbst::stats::none,
-//                                     lfbst::tag_policy::bts, void,
+//                                     lfbst::stats::none, void,
 //                                     lfbst::dsched::sched_atomics>;
 //
 // Outside a scheduled execution (scenario setup, teardown, assertions)

@@ -38,7 +38,6 @@
 #include "core/restart_policy.hpp"
 #include "core/sentinel_key.hpp"
 #include "core/stats.hpp"
-#include "core/tag_policy.hpp"
 
 #include "multiway/kary_tree.hpp"
 
@@ -68,12 +67,10 @@ static_assert(ConcurrentSet<shard::sharded_set<kary_tree<long, 8>>>);
 static_assert(ConcurrentSet<nm_tree<long, std::less<long>, reclaim::hazard>>);
 static_assert(ConcurrentSet<
               nm_tree<long, std::less<long>, reclaim::leaky, stats::none,
-                      tag_policy::bts, void, atomics::native,
-                      restart::from_root>>);
+                      void, atomics::native, restart::from_root>>);
 static_assert(ConcurrentSet<
               nm_tree<long, std::less<long>, reclaim::hazard, stats::none,
-                      tag_policy::bts, void, atomics::native,
-                      restart::from_anchor>>);
+                      void, atomics::native, restart::from_anchor>>);
 static_assert(ConcurrentSet<shard::sharded_set<nm_tree<long>>>);
 static_assert(ConcurrentSet<shard::sharded_set<efrb_tree<long>>>);
 static_assert(ConcurrentSet<shard::sharded_set<hj_tree<long>>>);

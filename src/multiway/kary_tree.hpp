@@ -17,7 +17,7 @@
 // tuned default fanouts the whole routing scan reads exactly one line)
 // and the update word plus child pointers on the following line(s).
 // Keys are a *raw* `Key[K-1]` array — no sentinel wrapper — so the
-// in-node search lowers to the branch-free/SIMD reductions in
+// in-node search lowers to the branch-free reductions in
 // multiway/node_search.hpp. The root's "all routing keys are +infinity"
 // sentinel role moved into a `routes_infinite` flag: the root routes
 // every client key to child 0 and its key array is never read.
@@ -356,7 +356,7 @@ class kary_tree
   }
 
   /// Child slot for `key` at internal node `n`: the first routing key
-  /// strictly greater than `key` decides (branch-free / SIMD kernel).
+  /// strictly greater than `key` decides (branch-free reduction).
   [[nodiscard]] unsigned child_index_for(const node* n,
                                          const Key& key) const {
     if (n->routes_infinite) return 0;

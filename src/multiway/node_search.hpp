@@ -3,20 +3,16 @@
 // A k-ary node keeps its keys in a flat, contiguous, immutable array
 // (multiway/kary_tree.hpp), which makes the two per-node questions —
 // "which child does `key` route to?" and "does this leaf hold `key`?" —
-// pure data-parallel reductions over at most K-1 lanes:
+// pure reductions over at most K-1 lanes:
 //
 //   route_index  = |{ i : keys[i] <= key }|   (routing keys are sorted)
 //   contains_key = ∃ i : keys[i] == key       (order-independent)
 //
-// Both are computed branch-free: the scalar fallback accumulates
-// comparison results with no data-dependent branches (one setcc+add per
-// lane, so the branch predictor never sees the key distribution), and
-// for signed 32/64-bit integral keys under std::less the same reduction
-// runs as SSE2/AVX2 compare-and-movemask over 4/8 lanes at a time.
-// The vector paths are compile-time gated (#if on the target ISA plus
-// an `if constexpr` on the key/comparator types), so non-integral keys,
-// custom comparators, and non-x86 targets all take the portable scalar
-// reduction with zero runtime dispatch.
+// Both are computed branch-free: each lane's comparison result is
+// accumulated with no data-dependent branch (one setcc+add per lane),
+// so the branch predictor never sees the key distribution. One
+// portable reduction serves every key type, comparator and target;
+// DESIGN.md §8.2 records why no SIMD variant is kept.
 //
 // Nodes are immutable after publication, so these are plain loads: no
 // atomics, no schedule points — correct under dsched's interposed
@@ -24,193 +20,7 @@
 // steps, and immutable key arrays are not shared-memory steps).
 #pragma once
 
-#include <cstdint>
-#include <functional>
-#include <type_traits>
-
-#if defined(__AVX2__) || defined(__SSE2__)
-#include <immintrin.h>
-#endif
-
 namespace lfbst::multiway {
-
-/// True when the (Key, Compare) pair runs on the vector kernels below:
-/// signed 32/64-bit integral keys ordered by std::less. Everything else
-/// uses the branch-free scalar reduction.
-template <typename Key, typename Compare>
-inline constexpr bool vectorized_search =
-#if defined(__AVX2__)
-    std::is_same_v<Compare, std::less<Key>> && std::is_integral_v<Key> &&
-    std::is_signed_v<Key> && (sizeof(Key) == 8 || sizeof(Key) == 4);
-#elif defined(__SSE2__)
-    std::is_same_v<Compare, std::less<Key>> && std::is_integral_v<Key> &&
-    std::is_signed_v<Key> && sizeof(Key) == 4;
-#else
-    false;
-#endif
-
-namespace detail {
-
-// All four kernels are defined in every configuration (scalar
-// branch-free bodies when the ISA is absent) so the qualified calls in
-// route_index/contains_key always resolve; the vectorized_search gate
-// above decides which ever run.
-
-#if defined(__AVX2__)
-
-/// |{ j < n : keys[j] <= key }| over 4 signed 64-bit lanes per step.
-inline unsigned count_le_i64(const std::int64_t* keys, unsigned n,
-                             std::int64_t key) noexcept {
-  std::uint64_t le = 0;
-  const __m256i needle = _mm256_set1_epi64x(key);
-  unsigned j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + j));
-    const unsigned gt = static_cast<unsigned>(
-        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(v, needle))));
-    le |= static_cast<std::uint64_t>(~gt & 0xFu) << j;
-  }
-  for (; j < n; ++j) {
-    le |= static_cast<std::uint64_t>(keys[j] <= key) << j;
-  }
-  return static_cast<unsigned>(__builtin_popcountll(le));
-}
-
-inline bool any_eq_i64(const std::int64_t* keys, unsigned n,
-                       std::int64_t key) noexcept {
-  std::uint64_t eq = 0;
-  const __m256i needle = _mm256_set1_epi64x(key);
-  unsigned j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + j));
-    eq |= static_cast<std::uint64_t>(_mm256_movemask_pd(
-              _mm256_castsi256_pd(_mm256_cmpeq_epi64(v, needle))))
-          << j;
-  }
-  for (; j < n; ++j) {
-    eq |= static_cast<std::uint64_t>(keys[j] == key) << j;
-  }
-  return eq != 0;
-}
-
-/// |{ j < n : keys[j] <= key }| over 8 signed 32-bit lanes per step.
-inline unsigned count_le_i32(const std::int32_t* keys, unsigned n,
-                             std::int32_t key) noexcept {
-  std::uint64_t le = 0;
-  const __m256i needle = _mm256_set1_epi32(key);
-  unsigned j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + j));
-    const unsigned gt = static_cast<unsigned>(
-        _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpgt_epi32(v, needle))));
-    le |= static_cast<std::uint64_t>(~gt & 0xFFu) << j;
-  }
-  for (; j < n; ++j) {
-    le |= static_cast<std::uint64_t>(keys[j] <= key) << j;
-  }
-  return static_cast<unsigned>(__builtin_popcountll(le));
-}
-
-inline bool any_eq_i32(const std::int32_t* keys, unsigned n,
-                       std::int32_t key) noexcept {
-  std::uint64_t eq = 0;
-  const __m256i needle = _mm256_set1_epi32(key);
-  unsigned j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + j));
-    eq |= static_cast<std::uint64_t>(_mm256_movemask_ps(
-              _mm256_castsi256_ps(_mm256_cmpeq_epi32(v, needle))))
-          << j;
-  }
-  for (; j < n; ++j) {
-    eq |= static_cast<std::uint64_t>(keys[j] == key) << j;
-  }
-  return eq != 0;
-}
-
-#else
-
-inline unsigned count_le_i64(const std::int64_t* keys, unsigned n,
-                             std::int64_t key) noexcept {
-  std::uint64_t le = 0;
-  for (unsigned j = 0; j < n; ++j) {
-    le += static_cast<std::uint64_t>(keys[j] <= key);
-  }
-  return static_cast<unsigned>(le);
-}
-
-inline bool any_eq_i64(const std::int64_t* keys, unsigned n,
-                       std::int64_t key) noexcept {
-  bool eq = false;
-  for (unsigned j = 0; j < n; ++j) eq |= (keys[j] == key);
-  return eq;
-}
-
-#endif
-
-#if !defined(__AVX2__) && defined(__SSE2__)
-
-inline unsigned count_le_i32(const std::int32_t* keys, unsigned n,
-                             std::int32_t key) noexcept {
-  std::uint64_t le = 0;
-  const __m128i needle = _mm_set1_epi32(key);
-  unsigned j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m128i v =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(keys + j));
-    const unsigned gt = static_cast<unsigned>(
-        _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpgt_epi32(v, needle))));
-    le |= static_cast<std::uint64_t>(~gt & 0xFu) << j;
-  }
-  for (; j < n; ++j) {
-    le |= static_cast<std::uint64_t>(keys[j] <= key) << j;
-  }
-  return static_cast<unsigned>(__builtin_popcountll(le));
-}
-
-inline bool any_eq_i32(const std::int32_t* keys, unsigned n,
-                       std::int32_t key) noexcept {
-  std::uint64_t eq = 0;
-  const __m128i needle = _mm_set1_epi32(key);
-  unsigned j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m128i v =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(keys + j));
-    eq |= static_cast<std::uint64_t>(_mm_movemask_ps(
-              _mm_castsi128_ps(_mm_cmpeq_epi32(v, needle))))
-          << j;
-  }
-  for (; j < n; ++j) {
-    eq |= static_cast<std::uint64_t>(keys[j] == key) << j;
-  }
-  return eq != 0;
-}
-
-#elif !defined(__AVX2__)
-
-inline unsigned count_le_i32(const std::int32_t* keys, unsigned n,
-                             std::int32_t key) noexcept {
-  std::uint64_t le = 0;
-  for (unsigned j = 0; j < n; ++j) {
-    le += static_cast<std::uint64_t>(keys[j] <= key);
-  }
-  return static_cast<unsigned>(le);
-}
-
-inline bool any_eq_i32(const std::int32_t* keys, unsigned n,
-                       std::int32_t key) noexcept {
-  bool eq = false;
-  for (unsigned j = 0; j < n; ++j) eq |= (keys[j] == key);
-  return eq;
-}
-
-#endif
-
-}  // namespace detail
 
 /// Routing slot for `key` over `n` sorted routing keys: the number of
 /// routing keys <= key, i.e. the index of the first routing key
@@ -219,21 +29,11 @@ template <typename Key, typename Compare>
 [[nodiscard]] inline unsigned route_index(const Key* keys, unsigned n,
                                           const Key& key,
                                           const Compare& less) noexcept {
-  if constexpr (vectorized_search<Key, Compare>) {
-    if constexpr (sizeof(Key) == 8) {
-      return detail::count_le_i64(reinterpret_cast<const std::int64_t*>(keys),
-                                  n, static_cast<std::int64_t>(key));
-    } else {
-      return detail::count_le_i32(reinterpret_cast<const std::int32_t*>(keys),
-                                  n, static_cast<std::int32_t>(key));
-    }
-  } else {
-    unsigned idx = 0;
-    for (unsigned j = 0; j < n; ++j) {
-      idx += static_cast<unsigned>(!less(key, keys[j]));
-    }
-    return idx;
+  unsigned idx = 0;
+  for (unsigned j = 0; j < n; ++j) {
+    idx += static_cast<unsigned>(!less(key, keys[j]));
   }
+  return idx;
 }
 
 /// Membership over `n` (not necessarily sorted) keys under the
@@ -242,21 +42,11 @@ template <typename Key, typename Compare>
 [[nodiscard]] inline bool contains_key(const Key* keys, unsigned n,
                                        const Key& key,
                                        const Compare& less) noexcept {
-  if constexpr (vectorized_search<Key, Compare>) {
-    if constexpr (sizeof(Key) == 8) {
-      return detail::any_eq_i64(reinterpret_cast<const std::int64_t*>(keys),
-                                n, static_cast<std::int64_t>(key));
-    } else {
-      return detail::any_eq_i32(reinterpret_cast<const std::int32_t*>(keys),
-                                n, static_cast<std::int32_t>(key));
-    }
-  } else {
-    bool found = false;
-    for (unsigned j = 0; j < n; ++j) {
-      found |= !less(key, keys[j]) && !less(keys[j], key);
-    }
-    return found;
+  bool found = false;
+  for (unsigned j = 0; j < n; ++j) {
+    found |= !less(key, keys[j]) && !less(keys[j], key);
   }
+  return found;
 }
 
 /// Tuned default fanout per key width: size K-1 keys to one cache line

@@ -4,12 +4,11 @@
 // of the algorithm (§3.2: "A lock-free algorithm to reclaim memory ...
 // can be derived using the well-known notion of hazard pointers [26]").
 // This header provides the substrate as a standalone, fully tested
-// domain. The NM tree ships with the `leaky` (paper regime) and `epoch`
-// policies; protecting NM seeks with hazard pointers additionally
-// requires validated re-reads at each traversal step — the recipe is
-// documented at the bottom of this file, and the domain itself is
-// exercised by the hazard-pointer unit tests and the Treiber-stack
-// validation harness in tests/reclaim/.
+// domain. reclaim::hazard (reclaim/hazard_reclaimer.hpp) plugs it into
+// nm_tree and kary_tree, whose seeks add validated re-reads at each
+// traversal step — the recipe at the bottom of this file. The domain
+// itself is exercised by the hazard-pointer unit tests and the
+// Treiber-stack validation harness in tests/reclaim/.
 //
 // Semantics: a thread publishes the address it is about to dereference
 // in one of its K hazard slots, re-reads the source to confirm the
@@ -158,8 +157,8 @@ class hazard_domain {
   padded<std::vector<retired_record>> retired_[max_threads];
 };
 
-// Recipe for a hazard-pointer-protected NM-BST seek (not enabled by
-// default; see DESIGN.md §6.5):
+// Recipe for a hazard-pointer-protected NM-BST seek (what
+// nm_tree::seek_protected runs under reclaim::hazard; DESIGN.md §6.5):
 //   1. Reserve 4 slots: ancestor, successor, parent, leaf.
 //   2. At each traversal step, announce the child pointer about to be
 //      followed in the slot it will occupy, then re-read the child field

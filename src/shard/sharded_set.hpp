@@ -15,8 +15,8 @@
 //
 // Composition: the inner tree is a template parameter, so the front-end
 // wraps NM-BST, EFRB, HJ (or any ConcurrentSet with an integral
-// key_type) with whatever Reclaimer/Stats/Tagging/Atomics policies the
-// tree was built with — including dsched::sched_atomics, which lets the
+// key_type) with whatever Reclaimer/Stats/Atomics policies the tree was
+// built with — including dsched::sched_atomics, which lets the
 // deterministic scheduler explore interleavings *through* the shard
 // layer (tests/shard/sharded_dsched_test.cpp). The shard layer's own
 // atomics reuse the tree's policy (tree_atomics below), so migrations
@@ -118,8 +118,8 @@ concept migratable_tree = requires(const Tree& t, typename Tree::key_type k) {
 /// The range router routes and stitches in *numeric* key order
 /// (raw `<` over the integral key — router.hpp), silently assuming
 /// the per-shard tree agrees. A tree ordered by a non-default
-/// Compare (std::greater, scramble_less, ...) would accept every
-/// routed key but break validate()'s placement check and interleave
+/// Compare (std::greater, ...) would accept every routed key but
+/// break validate()'s placement check and interleave
 /// stitched scans — quiet corruption, so sharded_set rejects the
 /// combination at compile time. Trees that do not export key_compare
 /// predate the check and are presumed numeric-ordered.

@@ -1,6 +1,6 @@
 // Unit tests for the tagged-pointer substrate: packing, mark semantics,
-// CAS behaviour, and both tagging primitives (BTS and CAS-only) — the
-// bedrock the NM algorithm's freeze property stands on.
+// CAS behaviour, and the BTS tagging primitive — the bedrock the NM
+// algorithm's freeze property stands on.
 #include "common/tagged_word.hpp"
 
 #include <gtest/gtest.h>
@@ -120,16 +120,6 @@ TEST(TaggedWord, BtsIsIdempotent) {
   ptr_t before_second = w.bts_tag();
   EXPECT_TRUE(before_second.tagged());
   EXPECT_TRUE(w.load().tagged());
-}
-
-TEST(TaggedWord, CasOnlyTaggingMatchesBtsSemantics) {
-  dummy_node a{0};
-  word_t w1(ptr_t(&a, true, false));
-  word_t w2(ptr_t(&a, true, false));
-  ptr_t r1 = w1.bts_tag();
-  ptr_t r2 = w2.bts_tag_cas_only();
-  EXPECT_EQ(r1, r2);
-  EXPECT_EQ(w1.load(), w2.load());
 }
 
 TEST(TaggedWord, CasCannotOverwriteMarkedWord) {

@@ -81,13 +81,6 @@ TEST_P(PropertySweep, NmTreeEpochMatchesOracle) {
   run_sweep(t, GetParam(), 30'000);
 }
 
-TEST_P(PropertySweep, NmTreeCasOnlyMatchesOracle) {
-  nm_tree<long, std::less<long>, reclaim::leaky, stats::none,
-          tag_policy::cas_only>
-      t;
-  run_sweep(t, GetParam(), 30'000);
-}
-
 TEST_P(PropertySweep, EfrbTreeMatchesOracle) {
   efrb_tree<long> t;
   run_sweep(t, GetParam(), 30'000);

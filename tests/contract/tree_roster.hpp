@@ -2,8 +2,9 @@
 // instantiated for, each paired with the suffix its suite names carry
 // (SetContract/NM_BST_0, ConcurrentStress/KST_13, ...). The suffix
 // belongs to the entry, not to its position in the list, so removing a
-// tree renames no other suite. Suffixes 5 and 6 are retired (a removed
-// lock-based tree, DESIGN.md §8.1); never reuse a retired suffix.
+// tree renames no other suite. Suffixes 5 and 6 (a removed lock-based
+// tree, DESIGN.md §8.1) and 8 (the CAS-only tagging variant, §8.2) are
+// retired; never reuse a retired suffix.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -77,9 +78,6 @@ using tree_roster = typed_roster<
     roster_entry<coarse_tree<long>, 4>,
     // policy variants of the core algorithm
     roster_entry<nm_tree<long, std::less<long>, reclaim::epoch>, 7>,
-    roster_entry<nm_tree<long, std::less<long>, reclaim::leaky, stats::none,
-                         tag_policy::cas_only>,
-                 8>,
     roster_entry<nm_tree<long, std::less<long>, reclaim::hazard>, 9>,
     // multiway k-ary tree, across its policy axes
     roster_entry<kary_tree<long, 4>, 10>,

@@ -193,17 +193,6 @@ TEST(NmMap, AssignRacingEraseStaysLinearizable) {
   EXPECT_EQ(m.validate(), "");
 }
 
-TEST(NmMap, WorksWithCasOnlyTagging) {
-  nm_map<long, long, std::less<long>, reclaim::leaky, stats::none,
-         tag_policy::cas_only>
-      m;
-  m.insert_or_assign(1, 10);
-  m.insert_or_assign(1, 11);
-  EXPECT_EQ(m.get(1), 11);
-  EXPECT_TRUE(m.erase(1));
-  EXPECT_EQ(m.validate(), "");
-}
-
 TEST(NmMap, AssignCostIsOneCasOneAllocation) {
   // The replace path's static cost, in the spirit of Table 1.
   nm_map<long, long, std::less<long>, reclaim::leaky, obs::recording> m;

@@ -34,17 +34,17 @@ namespace {
 using access = nm_tree_test_access;
 
 using hazard_anchor =
-    nm_tree<int, std::less<int>, reclaim::hazard, stats::none,
-            tag_policy::bts, void, atomics::native, restart::from_anchor>;
+    nm_tree<int, std::less<int>, reclaim::hazard, stats::none, void,
+            atomics::native, restart::from_anchor>;
 using hazard_root =
-    nm_tree<int, std::less<int>, reclaim::hazard, stats::none,
-            tag_policy::bts, void, atomics::native, restart::from_root>;
+    nm_tree<int, std::less<int>, reclaim::hazard, stats::none, void,
+            atomics::native, restart::from_root>;
 using recording_anchor =
-    nm_tree<int, std::less<int>, reclaim::leaky, obs::recording,
-            tag_policy::bts, void, atomics::native, restart::from_anchor>;
+    nm_tree<int, std::less<int>, reclaim::leaky, obs::recording, void,
+            atomics::native, restart::from_anchor>;
 using recording_root =
-    nm_tree<int, std::less<int>, reclaim::leaky, obs::recording,
-            tag_policy::bts, void, atomics::native, restart::from_root>;
+    nm_tree<int, std::less<int>, reclaim::leaky, obs::recording, void,
+            atomics::native, restart::from_root>;
 
 template <typename Tree>
 void build_spine(Tree& t) {

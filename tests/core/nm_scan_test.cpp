@@ -28,11 +28,9 @@ namespace {
 using leaky_tree = nm_tree<long>;
 using epoch_tree = nm_tree<long, std::less<long>, reclaim::epoch>;
 using hazard_tree = nm_tree<long, std::less<long>, reclaim::hazard>;
-using hazard_cas_tree = nm_tree<long, std::less<long>, reclaim::hazard,
-                                stats::none, tag_policy::cas_only>;
 using hazard_root_tree =
-    nm_tree<long, std::less<long>, reclaim::hazard, stats::none,
-            tag_policy::bts, void, atomics::native, restart::from_root>;
+    nm_tree<long, std::less<long>, reclaim::hazard, stats::none, void,
+            atomics::native, restart::from_root>;
 
 std::vector<long> sorted_keys(const std::set<long>& reference, long lo,
                               long hi, bool closed) {
@@ -129,9 +127,6 @@ TEST(NmScan, MatchesReferenceUnderChurnEpoch) {
 }
 TEST(NmScan, MatchesReferenceUnderChurnHazard) {
   expect_scan_matches_reference<hazard_tree>();
-}
-TEST(NmScan, MatchesReferenceUnderChurnHazardCasOnly) {
-  expect_scan_matches_reference<hazard_cas_tree>();
 }
 TEST(NmScan, MatchesReferenceUnderChurnHazardFromRoot) {
   expect_scan_matches_reference<hazard_root_tree>();
@@ -261,9 +256,6 @@ TEST(NmScanConcurrent, PartitionContractEpoch) {
 }
 TEST(NmScanConcurrent, PartitionContractHazard) {
   run_partition_scan_test<hazard_tree>();
-}
-TEST(NmScanConcurrent, PartitionContractHazardCasOnly) {
-  run_partition_scan_test<hazard_cas_tree>();
 }
 TEST(NmScanConcurrent, PartitionContractHazardFromRoot) {
   run_partition_scan_test<hazard_root_tree>();

@@ -153,24 +153,6 @@ TEST(NmTreeBasic, EpochReclaimerVariant) {
   EXPECT_EQ(t.validate(), "");
 }
 
-TEST(NmTreeBasic, CasOnlyTaggingVariant) {
-  nm_tree<long, std::less<long>, reclaim::leaky, stats::none,
-          tag_policy::cas_only>
-      t;
-  std::set<long> oracle;
-  pcg32 rng(9);
-  for (int i = 0; i < 50'000; ++i) {
-    const long k = rng.bounded(512);
-    if (rng.bounded(2) == 0) {
-      ASSERT_EQ(t.insert(k), oracle.insert(k).second);
-    } else {
-      ASSERT_EQ(t.erase(k), oracle.erase(k) > 0);
-    }
-  }
-  EXPECT_EQ(t.size_slow(), oracle.size());
-  EXPECT_EQ(t.validate(), "");
-}
-
 TEST(NmTreeBasic, CustomComparator) {
   nm_tree<long, std::greater<long>> t;
   for (long k : {5L, 1L, 9L, 3L}) t.insert(k);

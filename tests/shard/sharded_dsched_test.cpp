@@ -22,7 +22,7 @@ namespace lfbst {
 namespace {
 
 using sched_nm = nm_tree<int, std::less<int>, reclaim::leaky, stats::none,
-                         tag_policy::bts, void, dsched::sched_atomics>;
+                         void, dsched::sched_atomics>;
 
 // The harness default-constructs the tree under test; pin the shard
 // geometry to 4 shards over the dsched key universe [0, 64), i.e.

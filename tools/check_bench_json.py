@@ -13,8 +13,8 @@ src/obs/export.hpp for the contract):
     and a non-empty array "results";
   * every results row is an object of flat scalars (no nesting), and
     all rows of one document share a consistent key set — grouped by
-    the "study" column when present (bench_ablation packs four studies
-    with different measurement columns into one report).
+    the "study" column when present (bench_ablation packs several
+    studies with different measurement columns into one report).
 
 With --chrome-trace the file is instead checked as Chrome trace_event
 JSON (the bench_figure4 --trace output): an object with a "traceEvents"

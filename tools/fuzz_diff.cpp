@@ -66,9 +66,6 @@ int main(int argc, char** argv) {
       any_set::make<nm_tree<long, std::less<long>, reclaim::epoch>>());
   impls.push_back(
       any_set::make<nm_tree<long, std::less<long>, reclaim::hazard>>());
-  impls.push_back(any_set::make<nm_tree<long, std::less<long>,
-                                        reclaim::leaky, stats::none,
-                                        tag_policy::cas_only>>());
   impls.push_back(any_set::make<efrb_tree<long>>());
   impls.push_back(any_set::make<hj_tree<long>>());
   impls.push_back(any_set::make<bcco_tree<long>>());
