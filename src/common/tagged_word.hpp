@@ -17,7 +17,8 @@
 //   * tagged_word<Node> — an atomic cell holding a tagged_ptr, with the
 //     three primitives the algorithm needs: load, CAS, and BTS
 //     (bit-test-and-set on the tag bit, realized as fetch_or — the exact
-//     lowering x86-64 uses for LOCK BTS).
+//     lowering x86-64 uses for LOCK BTS) — plus load_pair, which reads
+//     two words as one step for a descent that routes on one of them.
 //
 // tagged_word takes an atomics policy (common/atomics_policy.hpp) as a
 // second parameter: the default atomics::native compiles every primitive
@@ -29,6 +30,7 @@
 #include <atomic>
 #include <cstdint>
 #include <type_traits>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "common/atomics_policy.hpp"
@@ -129,6 +131,18 @@ class tagged_word {
       std::memory_order order = std::memory_order_acquire) const noexcept {
     Atomics::shared_step();
     return value_type::from_raw(word_.load(order));
+  }
+
+  /// Acquire-loads two words as one shared-memory step: a single
+  /// Atomics::shared_step(), then `a`, then `b`. For a descent that
+  /// reads both child words of a node but routes on one of them — the
+  /// other only feeds a prefetch — so under a scheduling policy the pair
+  /// is exactly one schedule point, like the single load it replaces.
+  [[nodiscard]] static std::pair<value_type, value_type> load_pair(
+      const tagged_word& a, const tagged_word& b) noexcept {
+    Atomics::shared_step();
+    return {value_type::from_raw(a.word_.load(std::memory_order_acquire)),
+            value_type::from_raw(b.word_.load(std::memory_order_acquire))};
   }
 
   /// Unsynchronized store; only valid before the node is published

@@ -71,11 +71,17 @@
 //
 // Retry-path contention management (docs/PERF.md): with the native
 // atomics policy, failed injection/cleanup CASes are followed by a
-// bounded exponential backoff (common/backoff.hpp) before the re-seek,
-// and descents issue a software prefetch for each just-loaded child
-// (common/prefetch.hpp). Both are disabled under dsched::sched_atomics
-// — the scheduler owns all timing there, and spinning between schedule
-// points would only slow exploration without adding interleavings.
+// bounded exponential backoff (common/backoff.hpp) before the re-seek.
+// Backoff is compiled out under dsched::sched_atomics — the scheduler
+// owns all timing there, and spinning between schedule points would
+// only slow exploration without adding interleavings.
+//
+// Descent prefetch (common/prefetch.hpp) runs under every atomics
+// policy and is never a schedule point: it is a hint with no effect on
+// memory. The plain seek loads both child words of each internal node
+// as one step (tagged_word::load_pair), prefetches both children and
+// keeps the routed word; the hazard seek prefetches the routed child
+// before announcing it.
 #pragma once
 
 #include <algorithm>
@@ -850,9 +856,25 @@ class nm_tree
 
   /// Alg. 1 — the seek phase. Traverses from ℝ to a leaf, maintaining
   /// (ancestor, successor) = the last untagged edge seen before the
-  /// parent. All loads are acquire loads via tagged_word::load.
+  /// parent. All loads are acquire loads (tagged_word::load_pair).
   void seek_plain(const Key& key, seek_record& sr) const {
     seek_plain_from(r_, s_, key, sr);
+  }
+
+  /// One level of the plain descent: loads both child words of `in` as
+  /// one shared-memory step, prefetches both children, and returns the
+  /// word `key` routes to. The descent is a dependent-load chain the
+  /// hardware prefetcher cannot run ahead of; loading both words lets
+  /// the next node's miss start as soon as this node's line arrives,
+  /// before the key compare resolves, and selecting between two loaded
+  /// values (a cmov) leaves no branch on the compare to mispredict. The
+  /// unrouted word only feeds its prefetch, a hint that is safe on any
+  /// address.
+  ptr_t step_toward(const internal_node* in, const Key& key) const {
+    const auto [left, right] = word_t::load_pair(in->left, in->right);
+    prefetch_ro(left.address());
+    prefetch_ro(right.address());
+    return less_(key, in->key()) ? left : right;
   }
 
   /// Alg. 1 generalized to start from any (anchor → successor) edge on
@@ -870,18 +892,14 @@ class nm_tree
     internal_node* parent = successor; // line 17
     if constexpr (Stats::enabled) sr.anchor_depth = base_depth;
     // line 19 (value of the edge successor→leaf)
-    ptr_t parent_field = child_field_for(successor, key).load();
+    ptr_t parent_field = step_toward(successor, key);
     node* at = parent_field.address();  // line 18
     [[maybe_unused]] std::uint64_t depth = base_depth;
     while (!at->is_leaf) {  // line 22
       internal_node* in = as_internal(at);
-      const ptr_t current_field = child_field_for(in, key).load();  // line 20
-      node* current = current_field.address();                     // line 21
+      const ptr_t current_field = step_toward(in, key);  // line 20
+      node* current = current_field.address();          // line 21
       if constexpr (Stats::enabled) ++depth;
-      // Overlap the next node's cache miss with this iteration's
-      // bookkeeping: the descent is a dependent-load chain the hardware
-      // prefetcher cannot run ahead of.
-      prefetch_ro(current);
       if (!parent_field.tagged()) {  // line 23
         sr.ancestor = parent;        // line 24
         sr.successor = in;           // line 25

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstdint>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace lfbst {
@@ -169,6 +170,49 @@ TEST(TaggedWord, ConcurrentCasExactlyOneWinner) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(winners.load(), 1);
+}
+
+TEST(TaggedWord, LoadPairReturnsBothRawWords) {
+  // Clean, flagged and tagged words, in either position of the pair: the
+  // values come back bit for bit, marks included.
+  dummy_node a{0}, b{0};
+  // (flagged, tagged): clean, flagged, tagged.
+  const std::pair<bool, bool> marks[] = {
+      {false, false}, {true, false}, {false, true}};
+  for (const auto& [flag_a, tag_a] : marks) {
+    for (const auto& [flag_b, tag_b] : marks) {
+      const ptr_t first(&a, flag_a, tag_a);
+      const ptr_t second(&b, flag_b, tag_b);
+      word_t wa(first);
+      word_t wb(second);
+      const auto [x, y] = word_t::load_pair(wa, wb);
+      EXPECT_EQ(x.raw(), first.raw());
+      EXPECT_EQ(y.raw(), second.raw());
+    }
+  }
+}
+
+/// An atomics policy that counts its shared steps.
+struct counting_atomics {
+  static constexpr const char* name = "counting";
+  static inline int steps = 0;
+  static void shared_step() noexcept { ++steps; }
+};
+
+TEST(TaggedWord, LoadPairIsOneSharedStep) {
+  using counted_word = tagged_word<dummy_node, counting_atomics>;
+  dummy_node a{0}, b{0};
+  counted_word wa(ptr_t::clean(&a));
+  counted_word wb(ptr_t(&b, true, false));
+  counting_atomics::steps = 0;
+  const auto [x, y] = counted_word::load_pair(wa, wb);
+  EXPECT_EQ(counting_atomics::steps, 1);
+  EXPECT_EQ(x.address(), &a);
+  EXPECT_TRUE(y.flagged());
+  // The single-word primitives take one step each, as before.
+  (void)wa.load();
+  wb.bts_tag();
+  EXPECT_EQ(counting_atomics::steps, 3);
 }
 
 TEST(TaggedWord, SizeIsOneWord) {

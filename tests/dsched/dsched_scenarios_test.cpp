@@ -495,6 +495,48 @@ TEST(DschedScenarios, ScanRacingMultiLeafExcisionHazardPct) {
             0u);
 }
 
+// --------------------------------------------------------------------
+// Schedule points per operation. A lone logical thread's trace has one
+// step per schedule point plus the final run to completion, so its
+// length pins how many shared-memory steps an uncontended operation
+// takes: one child-word step per internal node of the access path
+// (from 𝕊 down; the seek starts on the ℝ → 𝕊 edge without loading it)
+// plus the protocol's CAS/BTS steps. However much a descent loads per
+// level, each level stays one schedule point, so the explored
+// interleavings do not change with it.
+// --------------------------------------------------------------------
+
+std::size_t solo_trace_length(sched_nm& t,
+                              const std::function<void(sched_nm&)>& op) {
+  const dsched::trace tr = dsched::scheduler::run(
+      {[&] { op(t); }}, [](std::size_t, std::uint32_t) { return 0u; });
+  return tr.size();
+}
+
+TEST(DschedScenarios, UncontendedOpsTakeOneStepPerInternalLevel) {
+  // Inserting 2, 1, 3 into the empty tree gives 𝕊 → I(∞₀) → I(2), with
+  // I(2) = {leaf 1, I(3)} and I(3) = {leaf 2, leaf 3}: key 3's path
+  // crosses four internal nodes (𝕊, I(∞₀), I(2), I(3)), key 1's three.
+  sched_nm t;
+  for (const int k : {2, 1, 3}) ASSERT_TRUE(t.insert(k));
+
+  // contains: the seek's loads and nothing else.
+  EXPECT_EQ(solo_trace_length(t, [](sched_nm& s) { EXPECT_TRUE(s.contains(3)); }),
+            4u + 1);
+  EXPECT_EQ(solo_trace_length(t, [](sched_nm& s) { EXPECT_TRUE(s.contains(1)); }),
+            3u + 1);
+  // insert(4) lands on leaf 3: four levels, then one CAS.
+  EXPECT_EQ(solo_trace_length(t, [](sched_nm& s) { EXPECT_TRUE(s.insert(4)); }),
+            4u + 1 + 1);
+  // erase(2) lands on leaf 2 below I(3): four levels, the flag CAS, then
+  // cleanup's child-word load, sibling BTS, sibling re-read and
+  // ancestor CAS.
+  EXPECT_EQ(solo_trace_length(t, [](sched_nm& s) { EXPECT_TRUE(s.erase(2)); }),
+            4u + 1 + 4 + 1);
+  EXPECT_EQ(t.validate(), "");
+  EXPECT_EQ(t.size_slow(), 3u);
+}
+
 TEST(DschedScenarios, TinyScenarioExhaustsCompletely) {
   auto sc = make_scenario<sched_nm>(
       /*setup=*/{},
