@@ -18,9 +18,10 @@
 // the OS.
 //
 // Properties the trees rely on:
-//   * Blocks are at least 16-byte aligned, and `alignment`-aligned up to
-//     a 4 KiB page — the NM-BST steals the low two pointer bits, so
-//     4-byte alignment is the hard floor; k-ary nodes ask for 64.
+//   * Blocks are `alignment`-aligned (16 bytes by default, 8 at the
+//     least) up to a 4 KiB page — the NM-BST steals the low three
+//     pointer bits, so 8-byte alignment is the hard floor, and its
+//     bare-key set leaves ask for exactly that; k-ary nodes ask for 64.
 //   * Blocks are never returned to the arena while the pool lives; with
 //     the `leaky` reclaimer this gives the paper's "no memory
 //     reclamation" regime while still freeing everything at tree
@@ -53,8 +54,9 @@ namespace lfbst {
 /// per node size (nm_tree: one for leaves, one for internal nodes).
 class node_pool {
  public:
-  /// `block_size` is rounded up to `alignment` bytes (16 by default;
-  /// cache-line-aligned node types pass alignof(node)); `slab_bytes` is
+  /// `block_size` is rounded up to `alignment` bytes (16 by default, 8
+  /// at the least, which also fits the free list's link; node types
+  /// pass alignof(node) to ask for more or less); `slab_bytes` is
   /// how much each thread grabs from the arena at a time. Arena slabs are
   /// page-aligned, and the block size being a multiple of `alignment`
   /// keeps every bump-allocated block aligned too. The default slab is
@@ -67,7 +69,7 @@ class node_pool {
   explicit node_pool(std::size_t block_size,
                      std::size_t slab_bytes = slab_arena::page_bytes,
                      std::size_t alignment = 16)
-      : block_size_(round_up(block_size, alignment < 16 ? 16 : alignment)),
+      : block_size_(round_up(block_size, alignment < 8 ? 8 : alignment)),
         blocks_per_slab_(slab_bytes / block_size_) {
     LFBST_ASSERT(blocks_per_slab_ > 0, "slab must fit at least one block");
     LFBST_ASSERT((alignment & (alignment - 1)) == 0,

@@ -12,8 +12,18 @@
 // again ("once an edge has been marked, it cannot be changed"). That
 // freeze is what lets a helper walk marked regions without validation.
 //
+// A third stolen bit carries no coordination:
+//
+//   bit 2: leaf  — the edge's head is a leaf. Set when the word is
+//                  built and kept by every mark change, so a descent
+//                  learns a node's kind from the edge it arrived on and
+//                  the node itself need not store it.
+//
+// Three stolen bits need 8-byte-aligned nodes. The two mark bits are the
+// "marks" below; the leaf bit is neither a mark nor part of the address.
+//
 // This header provides:
-//   * tagged_ptr<Node>  — an immutable value: (address, flag, tag).
+//   * tagged_ptr<Node>  — an immutable value: (address, flag, tag, leaf).
 //   * tagged_word<Node> — an atomic cell holding a tagged_ptr, with the
 //     three primitives the algorithm needs: load, CAS, and BTS
 //     (bit-test-and-set on the tag bit, realized as fetch_or — the exact
@@ -37,34 +47,44 @@
 
 namespace lfbst {
 
-/// An immutable (pointer, flag, tag) triple packed into one machine word.
+/// An immutable (pointer, flag, tag, leaf) tuple packed into one machine
+/// word.
 ///
-/// `Node` must be at least 4-byte aligned so the low two bits of any
-/// valid node address are zero. Every heap allocation of a struct
-/// containing a pointer or a word-sized integer satisfies this on all
-/// supported targets; we still assert it at compile time where the node
-/// type is complete.
+/// Every address packed here must be at least 8-byte aligned so the low
+/// three bits of any valid node address are zero; the constructor
+/// asserts it. Every heap allocation of a struct containing a pointer or
+/// a word-sized integer satisfies this on all supported targets, and the
+/// node pools hand out blocks of at least 8 bytes.
 template <typename Node>
 class tagged_ptr {
  public:
   static constexpr std::uintptr_t flag_bit = 0x1;
   static constexpr std::uintptr_t tag_bit = 0x2;
+  static constexpr std::uintptr_t leaf_bit = 0x4;
   static constexpr std::uintptr_t mark_mask = flag_bit | tag_bit;
-  static constexpr std::uintptr_t addr_mask = ~mark_mask;
+  static constexpr std::uintptr_t addr_mask = ~(mark_mask | leaf_bit);
 
   constexpr tagged_ptr() noexcept : bits_(0) {}
 
-  /// Packs an address with explicit mark bits.
-  tagged_ptr(Node* address, bool flagged, bool tagged) noexcept
+  /// Packs an address with explicit mark bits and kind.
+  tagged_ptr(Node* address, bool flagged, bool tagged,
+             bool leaf = false) noexcept
       : bits_(reinterpret_cast<std::uintptr_t>(address) |
-              (flagged ? flag_bit : 0) | (tagged ? tag_bit : 0)) {
-    LFBST_ASSERT((reinterpret_cast<std::uintptr_t>(address) & mark_mask) == 0,
-                 "node address must be 4-byte aligned to steal 2 bits");
+              (flagged ? flag_bit : 0) | (tagged ? tag_bit : 0) |
+              (leaf ? leaf_bit : 0)) {
+    LFBST_ASSERT((reinterpret_cast<std::uintptr_t>(address) & ~addr_mask) == 0,
+                 "node address must be 8-byte aligned to steal 3 bits");
   }
 
   /// Convenience: a clean (unmarked) pointer.
   static tagged_ptr clean(Node* address) noexcept {
     return tagged_ptr(address, /*flagged=*/false, /*tagged=*/false);
+  }
+
+  /// Convenience: a clean pointer whose head is a leaf.
+  static tagged_ptr clean_leaf(Node* address) noexcept {
+    return tagged_ptr(address, /*flagged=*/false, /*tagged=*/false,
+                      /*leaf=*/true);
   }
 
   static constexpr tagged_ptr from_raw(std::uintptr_t raw) noexcept {
@@ -80,14 +100,16 @@ class tagged_ptr {
   [[nodiscard]] bool tagged() const noexcept { return bits_ & tag_bit; }
   /// True if either mark bit is set (the edge is owned by a delete).
   [[nodiscard]] bool marked() const noexcept { return bits_ & mark_mask; }
+  /// True if the edge's head is a leaf.
+  [[nodiscard]] bool leaf() const noexcept { return bits_ & leaf_bit; }
   [[nodiscard]] std::uintptr_t raw() const noexcept { return bits_; }
 
-  /// The same address with different mark bits (used when copying the
-  /// flag of a frozen sibling edge onto the replacement edge, Alg. 4
-  /// line 108).
+  /// The same address and kind with different mark bits (used when
+  /// copying the flag of a frozen sibling edge onto the replacement
+  /// edge, Alg. 4 line 108).
   [[nodiscard]] tagged_ptr with_marks(bool flagged, bool tagged) const noexcept {
     tagged_ptr p;
-    p.bits_ = (bits_ & addr_mask) | (flagged ? flag_bit : 0) |
+    p.bits_ = (bits_ & ~mark_mask) | (flagged ? flag_bit : 0) |
               (tagged ? tag_bit : 0);
     return p;
   }
@@ -169,8 +191,9 @@ class tagged_word {
 
   /// Bit-test-and-set on the tag bit (paper's BTS instruction, §2).
   /// Unconditional: succeeds regardless of the word's current value, and
-  /// the address part is untouched. Returns the value observed *before*
-  /// the set, whose flag bit callers copy to the replacement edge.
+  /// the address part and leaf bit are untouched. Returns the value
+  /// observed *before* the set, whose flag bit callers copy to the
+  /// replacement edge.
   value_type bts_tag() noexcept {
     Atomics::shared_step();
     return value_type::from_raw(

@@ -4,21 +4,27 @@
 // Shape: an *external* (leaf-oriented) BST. Client keys live only in
 // leaves; internal nodes hold routing keys and always have exactly two
 // children. The two kinds are separate types from separate pools: a
-// leaf has no child words (a set leaf with 8-byte keys is 16 bytes), an
-// internal node has no payload (32 bytes), and an immutable kind byte
-// in the shared header says which one a node is. Three sentinel keys
-// ∞₀ < ∞₁ < ∞₂ (greater than all client keys) anchor the structure so
-// every access path has a parent and a grandparent (paper Fig. 3): the
-// root ℝ (key ∞₂) with right child leaf(∞₂), ℝ's left child 𝕊 (key ∞₁)
-// with right child leaf(∞₁), and 𝕊's left child leaf(∞₀). All client
-// activity happens in 𝕊's left subtree; ℝ and 𝕊 and the three sentinel
-// leaves are never removed and their edges toward other sentinels are
-// never marked.
+// leaf is the bare client key plus, for maps, the value (a set leaf
+// with 8-byte keys is 8 bytes), an internal node is a sentinel-extended
+// routing key and two child words (32 bytes). Neither stores its kind:
+// the edge that addresses a node says whether it is a leaf. Three
+// sentinel keys ∞₀ < ∞₁ < ∞₂ (greater than all client keys) anchor the
+// structure so every access path has a parent and a grandparent (paper
+// Fig. 3): the root ℝ (key ∞₂) with right child leaf(∞₂), ℝ's left
+// child 𝕊 (key ∞₁) with right child leaf(∞₁), and 𝕊's left child
+// leaf(∞₀). All client activity happens in 𝕊's left subtree; ℝ and 𝕊
+// and the three sentinel leaves are never removed and their edges
+// toward other sentinels are never marked, so a leaf's sentinel rank is
+// known from its address.
 //
 // Coordination: a delete owns *edges*, not nodes. Each child word
-// carries two stolen bits (common/tagged_word.hpp):
+// carries three stolen bits (common/tagged_word.hpp), so nodes are
+// 8-byte aligned:
 //   flag — head (a leaf) and tail both leave the tree,
-//   tag  — only the tail leaves the tree.
+//   tag  — only the tail leaves the tree,
+//   leaf — the head is a leaf (set when the word is built, kept by
+//          every mark change; it takes the place of the paper's
+//          null-child leaf test).
 // Marked words are frozen: their address part never changes again.
 //
 // Operations (paper §3.1–§3.2, Algorithms 1–4):
@@ -147,20 +153,22 @@ class nm_tree
   static constexpr const char* algorithm_name = "NM-BST";
 
   nm_tree()
-      : leaf_pool_(sizeof(leaf_node)), internal_pool_(sizeof(internal_node)) {
-    // Build the empty tree of Figure 3.
-    leaf_node* leaf_inf0 = make_leaf(skey::inf0());
-    leaf_node* leaf_inf1 = make_leaf(skey::inf1());
-    leaf_node* leaf_inf2 = make_leaf(skey::inf2());
-    s_ = make_internal(skey::inf1(), leaf_inf0, leaf_inf1);
-    r_ = make_internal(skey::inf2(), s_, leaf_inf2);
+      : leaf_pool_(sizeof(leaf_node), slab_arena::page_bytes,
+                   alignof(leaf_node)),
+        internal_pool_(sizeof(internal_node)) {
+    // Build the empty tree of Figure 3. The sentinel leaves hold a
+    // default key; their rank is their address.
+    for (leaf_node*& leaf : sentinel_leaves_) leaf = make_leaf(Key{});
+    s_ = make_internal(skey::inf1(), edge_to(sentinel_leaves_[0]),
+                       edge_to(sentinel_leaves_[1]));
+    r_ = make_internal(skey::inf2(), edge_to(s_), edge_to(sentinel_leaves_[2]));
   }
 
   nm_tree(const nm_tree&) = delete;
   nm_tree& operator=(const nm_tree&) = delete;
 
   ~nm_tree() {
-    destroy_reachable(r_);
+    destroy_reachable();
     reclaimer_.drain_all_unsafe();
     // The pools release all slabs on destruction.
   }
@@ -175,7 +183,7 @@ class nm_tree
       [[maybe_unused]] auto guard = reclaimer_.pin();
       seek_record sr;
       seek(key, sr);
-      found = less_.equal(key, sr.leaf->key());
+      found = holds(sr.leaf, key);
     }
     stats_.on_op_end(stats::op_kind::search, found);
     return found;
@@ -240,7 +248,7 @@ class nm_tree
       [[maybe_unused]] auto guard = reclaimer_.pin();
       seek_record sr;
       seek(key, sr);
-      if (less_.equal(key, sr.leaf->key())) {
+      if (holds(sr.leaf, key)) {
         result = sr.leaf->payload;  // leaves are immutable: safe to copy out
       }
     }
@@ -253,8 +261,8 @@ class nm_tree
   void for_each_item_slow(F&& fn) const
     requires is_map
   {
-    walk_leaves(r_, [&](const leaf_node* leaf) {
-      if (!leaf->key().is_sentinel()) fn(leaf->key().key, leaf->payload);
+    walk_leaves([&](const leaf_node* leaf) {
+      if (!is_sentinel(leaf)) fn(leaf->key, leaf->payload);
     });
   }
 
@@ -298,8 +306,8 @@ class nm_tree
   /// In-order traversal over client keys.
   template <typename F>
   void for_each_slow(F&& fn) const {
-    walk_leaves(r_, [&](const leaf_node* leaf) {
-      if (!leaf->key().is_sentinel()) fn(leaf->key().key);
+    walk_leaves([&](const leaf_node* leaf) {
+      if (!is_sentinel(leaf)) fn(leaf->key);
     });
   }
 
@@ -310,22 +318,21 @@ class nm_tree
   [[nodiscard]] std::string validate() const {
     std::string err;
     // Sentinel anchoring (Fig. 3).
-    if (r_->key().rank != 3) err += "root key is not inf2; ";
-    if (s_ != r_->left.load().address()) err += "S is not R.left; ";
-    const node* r_right = r_->right.load().address();
-    if (r_right == nullptr || !r_right->is_leaf || r_right->key().rank != 3) {
+    if (r_->key.rank != 3) err += "root key is not inf2; ";
+    if (s_->key.rank != 2) err += "S key is not inf1; ";
+    if (r_->left.load() != edge_to(s_)) err += "S is not R.left; ";
+    if (r_->right.load() != edge_to(sentinel_leaves_[2])) {
       err += "R.right is not leaf(inf2); ";
     }
-    const node* s_right = s_->right.load().address();
-    if (s_right == nullptr || !s_right->is_leaf || s_right->key().rank != 2) {
+    if (s_->right.load() != edge_to(sentinel_leaves_[1])) {
       err += "S.right is not leaf(inf1); ";
     }
-    validate_subtree(r_, /*low=*/nullptr, /*high=*/nullptr, err);
+    validate_subtree(err);
     return err;
   }
 
   /// Depth of the deepest leaf (diagnostics).
-  [[nodiscard]] std::size_t height_slow() const { return height_of(r_); }
+  [[nodiscard]] std::size_t height_slow() const { return height_of(); }
 
   /// Bytes currently held by the two node pools (includes unreclaimed
   /// nodes — under the leaky policy this is the paper's memory regime).
@@ -349,60 +356,60 @@ class nm_tree
 
   using skey = sentinel_key<Key>;
 
-  /// The header both node kinds start with, and the type child words
-  /// address: the sentinel-extended key plus the node's kind. Deriving
-  /// from sentinel_key lets the ABI put `is_leaf` in the key's tail
-  /// padding, so the header is no larger than the key. The kind is
-  /// written once, before the node is published, and never changes, so
-  /// a descent reads it instead of loading a child word and testing for
-  /// null (the paper's leaf test) — a leaf has no child words to load.
-  struct node : skey {
-    node(skey k, bool leaf) : skey(std::move(k)), is_leaf(leaf) {}
-    const bool is_leaf;
-    [[nodiscard]] const skey& key() const noexcept { return *this; }
-  };
+  /// The empty base both node kinds derive from, and the type child
+  /// words address. A node does not know its kind: the leaf bit of the
+  /// edge it was reached over does (tagged_ptr::leaf), set once when the
+  /// word is built by edge_to() and kept by every mark change, so a
+  /// descent stops on a leaf edge instead of loading a child word and
+  /// testing for null (the paper's leaf test) — and never reads a byte
+  /// of a node to learn what it is.
+  struct node {};
   using ptr_t = tagged_ptr<node>;
   using word_t = tagged_word<node, Atomics>;
 
-  /// A leaf: the key and, for maps, the mapped value, set at
+  /// A leaf: the bare client key and, for maps, the mapped value, set at
   /// construction and immutable while the leaf is published. Empty for
-  /// sets ([[no_unique_address]] erases the member).
-  struct leaf_node : node {
-    leaf_node(skey k, payload_t p) : node(std::move(k), true),
-                                     payload(std::move(p)) {}
+  /// sets ([[no_unique_address]] erases the member). 8-byte alignment
+  /// keeps the three stolen bits of every leaf address free. The three
+  /// sentinel leaves hold Key{}; their rank is their address (key_of).
+  struct alignas(8) leaf_node : node {
+    leaf_node(Key k, payload_t p) : key(std::move(k)), payload(std::move(p)) {}
+    Key key;
     [[no_unique_address]] payload_t payload;
   };
 
-  /// An internal node: a routing key and the two CAS-able child words.
+  /// An internal node: a sentinel-extended routing key and the two
+  /// CAS-able child words.
   struct internal_node : node {
-    internal_node(skey k, node* l, node* r) : node(std::move(k), false) {
-      left.store_relaxed(ptr_t::clean(l));
-      right.store_relaxed(ptr_t::clean(r));
-    }
+    internal_node(skey k, ptr_t l, ptr_t r) { rewire(std::move(k), l, r); }
     /// Re-keys and re-links a node that is not yet published (insert
-    /// reuses its scratch node across retries). Assigns through the
-    /// sentinel_key base, which leaves `is_leaf` as it is.
-    void rewire(skey k, node* l, node* r) {
-      static_cast<skey&>(*this) = std::move(k);
-      left.store_relaxed(ptr_t::clean(l));
-      right.store_relaxed(ptr_t::clean(r));
+    /// reuses its scratch node across retries).
+    void rewire(skey k, ptr_t l, ptr_t r) {
+      key = std::move(k);
+      left.store_relaxed(l);
+      right.store_relaxed(r);
     }
+    skey key;
     word_t left;
     word_t right;
   };
 
-  static_assert(alignof(node) >= 4,
-                "node must be 4-byte aligned to steal two pointer bits");
-  static_assert(sizeof(skey) == sizeof(Key) + 1 ||
-                    sizeof(node) == sizeof(skey),
-                "the kind byte must live in sentinel_key's tail padding");
-  static_assert(is_map || sizeof(leaf_node) == sizeof(node),
-                "a set leaf is exactly the node header");
+  static_assert(alignof(leaf_node) >= 8 && alignof(internal_node) >= 8,
+                "nodes must be 8-byte aligned to steal three pointer bits");
+  static_assert(is_map || sizeof(leaf_node) < sizeof(Key) + alignof(leaf_node),
+                "a set leaf is the key, padded to its alignment");
   static_assert(sizeof(internal_node) ==
-                    (sizeof(node) + alignof(word_t) - 1) / alignof(word_t) *
+                    (sizeof(skey) + alignof(word_t) - 1) / alignof(word_t) *
                             alignof(word_t) +
                         2 * sizeof(word_t),
-                "an internal node is the header plus two child words");
+                "an internal node is the key plus two child words");
+
+  /// The word that publishes a node: the node kind goes into the leaf
+  /// bit here and nowhere else.
+  static ptr_t edge_to(leaf_node* leaf) noexcept {
+    return ptr_t::clean_leaf(leaf);
+  }
+  static ptr_t edge_to(internal_node* in) noexcept { return ptr_t::clean(in); }
 
   static internal_node* as_internal(node* n) noexcept {
     return static_cast<internal_node*>(n);
@@ -452,9 +459,9 @@ class nm_tree
       if (!injected) {
         // --- injection mode ---
         leaf = sr.leaf;
-        if (!less_.equal(key, leaf->key())) return false;  // key absent
+        if (!holds(leaf, key)) return false;  // key absent
         word_t& child_field = child_field_for(sr.parent, key);
-        ptr_t expected = ptr_t::clean(leaf);
+        ptr_t expected = edge_to(leaf);
         stats_.on_cas();
         if (child_field.compare_exchange(
                 expected, expected.with_marks(/*flagged=*/true,
@@ -522,7 +529,7 @@ class nm_tree
     for (;;) {
       internal_node* parent = sr.parent;
       leaf_node* leaf = sr.leaf;
-      if (less_.equal(key, leaf->key())) {
+      if (holds(leaf, key)) {
         if (!assign_if_present) {
           // Key already present. Return any speculatively allocated
           // nodes (never published, so the pool reuses them directly).
@@ -534,11 +541,11 @@ class nm_tree
         // fresh leaf carrying the new value. A delete that flagged the
         // edge first wins (our CAS fails and we help); if we win, the
         // old leaf is unreachable and we are its only retirer.
-        if (new_leaf == nullptr) new_leaf = make_leaf(skey(key), value);
+        if (new_leaf == nullptr) new_leaf = make_leaf(key, value);
         word_t& child_field = child_field_for(parent, key);
-        ptr_t expected = ptr_t::clean(leaf);
+        ptr_t expected = edge_to(leaf);
         stats_.on_cas();
-        if (child_field.compare_exchange(expected, ptr_t::clean(new_leaf))) {
+        if (child_field.compare_exchange(expected, edge_to(new_leaf))) {
           if constexpr (Reclaimer::reclaims_eagerly) retire_node(leaf);
           if (new_internal != nullptr) destroy_node(new_internal);
           return false;  // assigned, not inserted
@@ -556,23 +563,25 @@ class nm_tree
 
       word_t& child_field = child_field_for(parent, key);
       if (new_leaf == nullptr) {
-        new_leaf = make_leaf(skey(key), value);
+        new_leaf = make_leaf(key, value);
       }
       if (new_internal == nullptr) {
-        new_internal = make_internal(skey{}, nullptr, nullptr);
+        new_internal = make_internal(skey{}, ptr_t{}, ptr_t{});
       }
       // (Re)wire the unpublished internal node for this attempt:
       // routing key = max(key, leaf's key); the new leaf sits on the side
       // its key belongs, the existing leaf on the other (paper §3.2.3).
-      if (less_(key, leaf->key())) {
-        new_internal->rewire(leaf->key(), new_leaf, leaf);
+      // The leaf is a client leaf or leaf(∞₀), which every client key is
+      // below.
+      if (leaf == sentinel_leaves_[0] || less_.cmp(key, leaf->key)) {
+        new_internal->rewire(key_of(leaf), edge_to(new_leaf), edge_to(leaf));
       } else {
-        new_internal->rewire(skey(key), leaf, new_leaf);
+        new_internal->rewire(skey(key), edge_to(leaf), edge_to(new_leaf));
       }
 
-      ptr_t expected = ptr_t::clean(leaf);
+      ptr_t expected = edge_to(leaf);
       stats_.on_cas();
-      if (child_field.compare_exchange(expected, ptr_t::clean(new_internal))) {
+      if (child_field.compare_exchange(expected, edge_to(new_internal))) {
         return true;  // Alg. 2 line 53 — linearization point
       }
       stats_.on_cas_fail();
@@ -591,36 +600,34 @@ class nm_tree
 
   // --- node lifecycle -------------------------------------------------
 
-  leaf_node* make_leaf(skey k, payload_t payload = payload_t{}) {
+  leaf_node* make_leaf(Key k, payload_t payload = payload_t{}) {
     stats_.on_alloc();
     return new (leaf_pool_.allocate(sizeof(leaf_node)))
         leaf_node(std::move(k), std::move(payload));
   }
 
-  internal_node* make_internal(skey k, node* left, node* right) {
+  internal_node* make_internal(skey k, ptr_t left, ptr_t right) {
     stats_.on_alloc();
     return new (internal_pool_.allocate(sizeof(internal_node)))
         internal_node(std::move(k), left, right);
   }
 
+  node_pool& pool_of(leaf_node*) noexcept { return leaf_pool_; }
+  node_pool& pool_of(internal_node*) noexcept { return internal_pool_; }
+
   /// Immediate destruction — only for unpublished nodes and, at tree
   /// destruction, for the reachable ones.
-  void destroy_node(node* n) {
-    if (n->is_leaf) {
-      node_deleter<leaf_node>(n, &leaf_pool_);
-    } else {
-      node_deleter<internal_node>(n, &internal_pool_);
-    }
+  template <typename Kind>
+  void destroy_node(Kind* n) {
+    node_deleter<Kind>(static_cast<node*>(n), &pool_of(n));
   }
 
   /// Hands an unlinked node to the reclaimer with the deleter and pool
   /// of its kind.
-  void retire_node(node* n) {
-    if (n->is_leaf) {
-      reclaimer_.retire(n, &node_deleter<leaf_node>, &leaf_pool_);
-    } else {
-      reclaimer_.retire(n, &node_deleter<internal_node>, &internal_pool_);
-    }
+  template <typename Kind>
+  void retire_node(Kind* n) {
+    reclaimer_.retire(static_cast<node*>(n), &node_deleter<Kind>,
+                      &pool_of(n));
   }
 
   /// `obj` is the node* that was retired; `ctx` the pool of its kind.
@@ -631,13 +638,38 @@ class nm_tree
     static_cast<node_pool*>(ctx)->deallocate(n);
   }
 
+  // --- leaf keys ------------------------------------------------------
+
+  /// Hit test of a key seek: true iff `leaf` carries client key `key`.
+  /// A seek for a client key lands on a client leaf or on leaf(∞₀) —
+  /// client keys go left at ℝ and 𝕊 — so one address compare rules out
+  /// the sentinel.
+  bool holds(const leaf_node* leaf, const Key& key) const {
+    return leaf != sentinel_leaves_[0] && !less_.cmp(key, leaf->key) &&
+           !less_.cmp(leaf->key, key);
+  }
+
+  /// True iff `leaf` is one of the three sentinel leaves.
+  bool is_sentinel(const leaf_node* leaf) const noexcept {
+    return leaf == sentinel_leaves_[0] || leaf == sentinel_leaves_[1] ||
+           leaf == sentinel_leaves_[2];
+  }
+
+  /// The sentinel-extended key of `leaf`, its rank known by address.
+  skey key_of(const leaf_node* leaf) const {
+    if (leaf == sentinel_leaves_[0]) return skey::inf0();
+    if (leaf == sentinel_leaves_[1]) return skey::inf1();
+    if (leaf == sentinel_leaves_[2]) return skey::inf2();
+    return skey(leaf->key);
+  }
+
   // --- traversal ------------------------------------------------------
 
   /// Child field of `parent` on the side `key` belongs (left iff
   /// key < parent.key — ties go right, matching the paper's BST
   /// property (b): right subtree holds keys >= node key).
   word_t& child_field_for(internal_node* parent, const Key& key) const {
-    return less_(key, parent->key()) ? parent->left : parent->right;
+    return less_(key, parent->key) ? parent->left : parent->right;
   }
 
   /// Dispatches to the plain Alg. 1 seek, or — when the reclaimer needs
@@ -725,7 +757,7 @@ class nm_tree
   /// Key routing for the validated descent: left iff key < node key.
   auto toward(const Key& key) const {
     return [this, &key](const internal_node* n) {
-      return less_(key, n->key());
+      return less_(key, n->key);
     };
   }
 
@@ -809,8 +841,8 @@ class nm_tree
     if (parent_field.marked() && !anchor_holds()) return ptr_t();
     if (step_left && turn != nullptr) note_turn(parent);
 
-    // `at` (protected by hp_leaf) is validated, so its kind may be read.
-    while (!at->is_leaf) {
+    // The validated word's leaf bit says whether `at` is a leaf.
+    while (!parent_field.leaf()) {
       internal_node* in = as_internal(at);
       step_left = route(in);
       const word_t* current_source = step_left ? &in->left : &in->right;
@@ -874,7 +906,7 @@ class nm_tree
     const auto [left, right] = word_t::load_pair(in->left, in->right);
     prefetch_ro(left.address());
     prefetch_ro(right.address());
-    return less_(key, in->key()) ? left : right;
+    return less_(key, in->key) ? left : right;
   }
 
   /// Alg. 1 generalized to start from any (anchor → successor) edge on
@@ -882,8 +914,8 @@ class nm_tree
   /// passes a just-validated recorded edge. `successor` is an internal
   /// node (every recorded successor is: it was stepped through). The
   /// paper finds the leaf by loading its null child word (line 22); the
-  /// descent here reads the node's kind instead, and loads no word of a
-  /// leaf.
+  /// descent here tests the leaf bit of the word it arrived on, and
+  /// touches no byte of a leaf.
   void seek_plain_from(internal_node* anchor, internal_node* successor,
                        const Key& key, seek_record& sr,
                        std::uint64_t base_depth = 0) const {
@@ -895,7 +927,7 @@ class nm_tree
     ptr_t parent_field = step_toward(successor, key);
     node* at = parent_field.address();  // line 18
     [[maybe_unused]] std::uint64_t depth = base_depth;
-    while (!at->is_leaf) {  // line 22
+    while (!parent_field.leaf()) {  // line 22
       internal_node* in = as_internal(at);
       const ptr_t current_field = step_toward(in, key);  // line 20
       node* current = current_field.address();          // line 21
@@ -935,7 +967,7 @@ class nm_tree
     // Child and sibling fields of the parent (lines 97-102).
     word_t* child_field;
     word_t* sibling_field;
-    if (less_(key, parent->key())) {
+    if (less_(key, parent->key)) {
       child_field = &parent->left;
       sibling_field = &parent->right;
     } else {
@@ -964,8 +996,11 @@ class nm_tree
     // copying the sibling's flag bit onto the new edge (line 108): if a
     // concurrent delete already flagged the sibling leaf, the flag must
     // survive the move so that delete can still complete.
-    ptr_t expected = ptr_t::clean(successor);
-    ptr_t desired(sibling.address(), sibling.flagged(), /*tagged=*/false);
+    // The sibling word's leaf bit rides along: the new edge addresses
+    // the same node.
+    ptr_t expected = edge_to(successor);
+    const ptr_t desired =
+        sibling.with_marks(sibling.flagged(), /*tagged=*/false);
     stats_.on_cas();
     const bool removed = successor_field.compare_exchange(expected, desired);
 
@@ -974,14 +1009,14 @@ class nm_tree
         // Excision size: >2 means the single ancestor CAS removed a
         // frozen chain of logically deleted nodes (Fig. 2's multi-leaf
         // removal). The walk only happens for instrumented builds.
-        stats_.on_excision(count_excised(successor, desired.address()));
+        stats_.on_excision(count_excised(expected, desired.address()));
       }
       if constexpr (Reclaimer::reclaims_eagerly) {
         // We excised the region subtree(successor) ∖ subtree(sibling
         // address). Every edge inside it is frozen, so walking it
         // unsynchronized is safe; only this thread (the CAS winner)
         // retires it, so nothing is retired twice.
-        retire_excised(successor, desired.address());
+        retire_excised(expected, desired.address());
       }
     } else {
       stats_.on_cas_fail();
@@ -989,33 +1024,32 @@ class nm_tree
     return removed;
   }
 
-  /// Node count of the detached region rooted at `n`, excluding the
-  /// re-attached subtree at `keep`. Same frozen-region walk as
+  /// Node count of the detached region that edge `e` heads, excluding
+  /// the re-attached subtree at `keep`. Same frozen-region walk as
   /// retire_excised; only runs when a Stats policy wants on_excision.
-  std::uint64_t count_excised(const node* n, const node* keep) const {
-    if (n == keep) return 0;
-    if (n->is_leaf) return 1;
-    const internal_node* in = as_internal(n);
-    return 1 +
-           count_excised(in->left.load(std::memory_order_acquire).address(),
-                         keep) +
-           count_excised(in->right.load(std::memory_order_acquire).address(),
-                         keep);
+  std::uint64_t count_excised(ptr_t e, const node* keep) const {
+    if (e.address() == keep) return 0;
+    if (e.leaf()) return 1;
+    const internal_node* in = as_internal(e.address());
+    return 1 + count_excised(in->left.load(std::memory_order_acquire), keep) +
+           count_excised(in->right.load(std::memory_order_acquire), keep);
   }
 
-  /// Retires every node of the detached region rooted at `n`, except the
-  /// subtree rooted at `keep` (which was re-attached by the CAS). The
-  /// region is a frozen chain: internal nodes with both edges marked,
-  /// each carrying one flagged leaf, terminated by `keep`'s old parent.
-  void retire_excised(node* n, node* keep) {
-    if (n == keep) return;
-    if (!n->is_leaf) {  // recurse into the frozen region
-      internal_node* in = as_internal(n);
-      retire_excised(in->left.load(std::memory_order_acquire).address(), keep);
-      retire_excised(in->right.load(std::memory_order_acquire).address(),
-                     keep);
+  /// Retires every node of the detached region that edge `e` heads,
+  /// except the subtree rooted at `keep` (which was re-attached by the
+  /// CAS). The region is a frozen chain: internal nodes with both edges
+  /// marked, each carrying one flagged leaf, terminated by `keep`'s old
+  /// parent.
+  void retire_excised(ptr_t e, const node* keep) {
+    if (e.address() == keep) return;
+    if (e.leaf()) {
+      retire_node(as_leaf(e.address()));
+      return;
     }
-    retire_node(n);
+    internal_node* in = as_internal(e.address());  // the frozen region
+    retire_excised(in->left.load(std::memory_order_acquire), keep);
+    retire_excised(in->right.load(std::memory_order_acquire), keep);
+    retire_node(in);
   }
 
   // --- concurrent ordered scans ----------------------------------------
@@ -1057,21 +1091,21 @@ class nm_tree
     std::vector<ptr_t> stack;
     ptr_t edge = ptr_t::clean(r_);
     for (;;) {
-      const node* n = edge.address();
-      const skey& k = n->key();
-      if (n->is_leaf) {
+      if (edge.leaf()) {
         // A flagged incoming edge means a delete linearized against
         // this key (possibly before the scan began): it is logically
         // absent and must not appear.
-        if (!edge.flagged() && !k.is_sentinel() &&
-            this->in_range(k.key, lo, hi, closed) && !emit(k.key)) {
+        const leaf_node* leaf = as_leaf(edge.address());
+        if (!edge.flagged() && !is_sentinel(leaf) &&
+            this->in_range(leaf->key, lo, hi, closed) && !emit(leaf->key)) {
           return;  // visitor filled its budget
         }
       } else {
         // Internal: prune on the immutable routing key. The walk goes
         // on into the left subtree and stacks the right one, so the
         // left subtree drains first (leaf-only in-order).
-        const internal_node* in = as_internal(n);
+        const internal_node* in = as_internal(edge.address());
+        const skey& k = in->key;
         const ptr_t left = in->left.load();
         const bool go_left = lo == nullptr || less_(*lo, k);
         if (hi == nullptr || (closed ? !less_(*hi, k) : less_(k, *hi))) {
@@ -1108,15 +1142,17 @@ class nm_tree
     // for `cursor`: left iff cursor < node key. (Strictness does not
     // change the routing, only the acceptance test below.)
     const auto toward_cursor = [&](const internal_node* n) {
-      return cursor == nullptr || less_(*cursor, n->key());
+      return cursor == nullptr || less_(*cursor, n->key);
     };
     seek_record sr = root_record();
     seek_record turn;
     ptr_t landed = seek_protected_from(toward_cursor, sr, &turn);
     if (landed.address() == nullptr) return {};
+    // Every sentinel is above every cursor.
     const bool satisfied =
-        cursor == nullptr || (inclusive ? !less_(sr.leaf->key(), *cursor)
-                                        : less_(*cursor, sr.leaf->key()));
+        cursor == nullptr || is_sentinel(sr.leaf) ||
+        (inclusive ? !less_.cmp(sr.leaf->key, *cursor)
+                   : less_.cmp(*cursor, sr.leaf->key));
     if (!satisfied) {
       // Every left subtree skipped below the turn holds only keys <=
       // cursor. A turn always exists: every client cursor routes left
@@ -1133,10 +1169,10 @@ class nm_tree
       landed = seek_protected_from(min_right, sr);
       if (landed.address() == nullptr) return {};
     }
-    const skey& found = sr.leaf->key();
-    if (found.is_sentinel()) return {.validated = true};  // past the last key
-    if (!landed.flagged()) emit(found.key);
-    return {.validated = true, .next = found.key, .next_inclusive = false};
+    if (is_sentinel(sr.leaf)) return {.validated = true};  // past the last key
+    const Key& found = sr.leaf->key;
+    if (!landed.flagged()) emit(found);
+    return {.validated = true, .next = found, .next_inclusive = false};
   }
 
   // --- quiescent helpers ----------------------------------------------
@@ -1145,75 +1181,74 @@ class nm_tree
   /// keys degenerate an (unbalanced) BST to O(n) depth, which would
   /// overflow the call stack if these walks recursed.
   template <typename F>
-  void walk_leaves(const node* root, F&& fn) const {
-    std::vector<const node*> stack{root};
+  void walk_leaves(F&& fn) const {
+    std::vector<ptr_t> stack{edge_to(r_)};
     while (!stack.empty()) {
-      const node* n = stack.back();
+      const ptr_t e = stack.back();
       stack.pop_back();
-      if (n->is_leaf) {
-        fn(as_leaf(n));
+      if (e.leaf()) {
+        fn(as_leaf(e.address()));
         continue;
       }
       // Right below left, so the left subtree's leaves come first.
-      stack.push_back(as_internal(n)->right.load(std::memory_order_relaxed)
-                          .address());
-      stack.push_back(as_internal(n)->left.load(std::memory_order_relaxed)
-                          .address());
+      const internal_node* in = as_internal(e.address());
+      stack.push_back(in->right.load(std::memory_order_relaxed));
+      stack.push_back(in->left.load(std::memory_order_relaxed));
     }
   }
 
-  void destroy_reachable(node* root) {
-    std::vector<node*> stack{root};
+  void destroy_reachable() {
+    std::vector<ptr_t> stack{edge_to(r_)};
     while (!stack.empty()) {
-      node* n = stack.back();
+      const ptr_t e = stack.back();
       stack.pop_back();
-      if (!n->is_leaf) {
-        internal_node* in = as_internal(n);
-        stack.push_back(in->left.load(std::memory_order_relaxed).address());
-        stack.push_back(in->right.load(std::memory_order_relaxed).address());
+      if (e.leaf()) {
+        destroy_node(as_leaf(e.address()));
+        continue;
       }
-      destroy_node(n);
+      internal_node* in = as_internal(e.address());
+      stack.push_back(in->left.load(std::memory_order_relaxed));
+      stack.push_back(in->right.load(std::memory_order_relaxed));
+      destroy_node(in);
     }
   }
 
-  std::size_t height_of(const node* root) const {
+  std::size_t height_of() const {
     std::size_t best = 0;
-    std::vector<std::pair<const node*, std::size_t>> stack{{root, 1}};
+    std::vector<std::pair<ptr_t, std::size_t>> stack{{edge_to(r_), 1}};
     while (!stack.empty()) {
-      auto [n, depth] = stack.back();
+      auto [e, depth] = stack.back();
       stack.pop_back();
       best = std::max(best, depth);
-      if (n->is_leaf) continue;
-      const internal_node* in = as_internal(n);
-      stack.push_back({in->left.load(std::memory_order_relaxed).address(),
-                       depth + 1});
-      stack.push_back({in->right.load(std::memory_order_relaxed).address(),
-                       depth + 1});
+      if (e.leaf()) continue;
+      const internal_node* in = as_internal(e.address());
+      stack.push_back({in->left.load(std::memory_order_relaxed), depth + 1});
+      stack.push_back({in->right.load(std::memory_order_relaxed), depth + 1});
     }
     return best;
   }
 
-  void validate_subtree(const node* root, const skey* root_low,
-                        const skey* root_high, std::string& err) const {
+  void validate_subtree(std::string& err) const {
     struct frame {
-      const node* n;
+      ptr_t e;
       const skey* low;
       const skey* high;
     };
-    std::vector<frame> stack{{root, root_low, root_high}};
+    std::vector<frame> stack{{edge_to(r_), nullptr, nullptr}};
     while (!stack.empty()) {
-      auto [n, low, high] = stack.back();
+      auto [e, low, high] = stack.back();
       stack.pop_back();
       // Order bounds (paper §2 properties (a)/(b)): left subtree keys
       // strictly below the node key, right subtree keys at or above.
-      if (low != nullptr && sless(n->key(), *low)) {
+      const internal_node* in = e.leaf() ? nullptr : as_internal(e.address());
+      const skey key = in != nullptr ? in->key : key_of(as_leaf(e.address()));
+      if (low != nullptr && less_(key, *low)) {
         err += "key below low bound; ";
       }
-      if (high != nullptr && !sless(n->key(), *high)) {
+      if (high != nullptr && !less_(key, *high)) {
         err += "key not below high bound; ";
       }
-      if (n->is_leaf) continue;
-      const internal_node* in = as_internal(n);
+      if (in == nullptr) continue;
       const ptr_t lw = in->left.load(std::memory_order_relaxed);
       const ptr_t rw = in->right.load(std::memory_order_relaxed);
       if (lw.marked() || rw.marked()) {
@@ -1224,12 +1259,10 @@ class nm_tree
                "violated); ";
         continue;
       }
-      stack.push_back({lw.address(), low, &n->key()});
-      stack.push_back({rw.address(), &n->key(), high});
+      stack.push_back({lw, low, &in->key});
+      stack.push_back({rw, &in->key, high});
     }
   }
-
-  bool sless(const skey& a, const skey& b) const { return less_(a, b); }
 
   // Feeds the sampled key-hotness hook (obs::key_heatmap via
   // obs::recording::on_op_key) when the Stats policy has one and the
@@ -1254,6 +1287,9 @@ class nm_tree
   mutable Reclaimer reclaimer_{};
   internal_node* r_ = nullptr;  // ℝ: root sentinel, key ∞₂; never removed
   internal_node* s_ = nullptr;  // 𝕊: ℝ's left child, key ∞₁; never removed
+  // leaf(∞₀), leaf(∞₁), leaf(∞₂): never removed, so a leaf's address
+  // tells whether, and which, sentinel key it carries.
+  leaf_node* sentinel_leaves_[3] = {};
 };
 
 }  // namespace lfbst

@@ -1,5 +1,5 @@
 // Unit tests for the slab node pool and the slab arena under it:
-// alignment (the NM tree steals two pointer bits, so < 4-byte alignment
+// alignment (the NM tree steals three pointer bits, so < 8-byte alignment
 // would corrupt edges; k-ary nodes need 64), reuse, cross-thread
 // deallocate, footprint accounting, slab reuse across pool lifetimes,
 // huge-page advice and ASan poisoning of destroyed pools.
@@ -123,6 +123,25 @@ TEST(NodePool, AlignedPoolBlocksAre64ByteAligned) {
     void* p = pool.allocate(sizeof(node));
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % 64, 0u);
   }
+}
+
+TEST(NodePool, EightByteBlocksFillAPage) {
+  // The NM-BST's set leaves: an 8-byte key, 8-byte aligned.
+  node_pool pool(8, slab_arena::page_bytes, /*alignment=*/8);
+  EXPECT_EQ(pool.block_size(), 8u);
+  std::set<std::uintptr_t> blocks;
+  for (std::size_t i = 0; i < slab_arena::page_bytes / 8; ++i) {
+    const auto p = reinterpret_cast<std::uintptr_t>(pool.allocate(8));
+    EXPECT_EQ(p % 8, 0u);
+    blocks.insert(p);
+  }
+  EXPECT_EQ(blocks.size(), 512u);
+  EXPECT_EQ(pool.footprint_bytes(), slab_arena::page_bytes);
+  EXPECT_EQ(*blocks.rbegin() - *blocks.begin(), slab_arena::page_bytes - 8);
+  void* freed = reinterpret_cast<void*>(*blocks.begin());
+  pool.deallocate(freed);
+  EXPECT_EQ(pool.allocate(8), freed);
+  EXPECT_EQ(pool.footprint_bytes(), slab_arena::page_bytes);
 }
 
 TEST(NodePool, LaterPoolReusesDestroyedPoolsSlabs) {

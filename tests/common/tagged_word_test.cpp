@@ -1,6 +1,6 @@
 // Unit tests for the tagged-pointer substrate: packing, mark semantics,
-// CAS behaviour, and the BTS tagging primitive — the bedrock the NM
-// algorithm's freeze property stands on.
+// the leaf bit, CAS behaviour, and the BTS tagging primitive — the
+// bedrock the NM algorithm's freeze property stands on.
 #include "common/tagged_word.hpp"
 
 #include <gtest/gtest.h>
@@ -14,7 +14,8 @@
 namespace lfbst {
 namespace {
 
-struct dummy_node {
+// Three stolen bits need 8-byte-aligned addresses.
+struct alignas(8) dummy_node {
   int payload;
 };
 
@@ -60,6 +61,24 @@ TEST(TaggedPtr, WithMarksPreservesAddress) {
   EXPECT_EQ(r.address(), &n);
   EXPECT_FALSE(r.flagged());
   EXPECT_TRUE(r.tagged());
+}
+
+TEST(TaggedPtr, LeafBitIsNeitherAddressNorMark) {
+  dummy_node n{0};
+  const ptr_t leaf = ptr_t::clean_leaf(&n);
+  EXPECT_TRUE(leaf.leaf());
+  EXPECT_FALSE(ptr_t::clean(&n).leaf());
+  EXPECT_EQ(leaf.address(), &n);
+  EXPECT_FALSE(leaf.marked());
+  EXPECT_NE(leaf, ptr_t::clean(&n));
+  // Mark changes keep the bit: the ancestor CAS builds its new edge from
+  // the frozen sibling word this way.
+  const ptr_t flagged = leaf.with_marks(true, false);
+  EXPECT_TRUE(flagged.leaf());
+  EXPECT_TRUE(flagged.flagged());
+  EXPECT_EQ(flagged.address(), &n);
+  const ptr_t cleared = flagged.with_marks(false, false);
+  EXPECT_EQ(cleared, leaf);
 }
 
 TEST(TaggedPtr, EqualityIsBitwise) {
@@ -112,6 +131,29 @@ TEST(TaggedWord, BtsSetsTagAndReturnsPriorValue) {
   EXPECT_TRUE(after.flagged());  // flag preserved (Alg. 4 line 107 relies
   EXPECT_TRUE(after.tagged());   // on copying it to the new edge)
   EXPECT_EQ(after.address(), &a);
+}
+
+TEST(TaggedWord, BtsKeepsLeafBit) {
+  dummy_node a{0};
+  word_t w(ptr_t::clean_leaf(&a));
+  const ptr_t before = w.bts_tag();
+  EXPECT_TRUE(before.leaf());
+  const ptr_t after = w.load();
+  EXPECT_TRUE(after.leaf());
+  EXPECT_TRUE(after.tagged());
+  EXPECT_FALSE(after.flagged());
+  EXPECT_EQ(after.address(), &a);
+}
+
+TEST(TaggedWord, CasFailsWhenExpectedLacksLeafBit) {
+  // The leaf bit is part of the word: an edge published as a leaf edge
+  // does not match the same address expected as an internal edge.
+  dummy_node a{0}, b{0};
+  word_t w(ptr_t::clean_leaf(&a));
+  ptr_t expected = ptr_t::clean(&a);
+  EXPECT_FALSE(w.compare_exchange(expected, ptr_t::clean_leaf(&b)));
+  EXPECT_EQ(expected, ptr_t::clean_leaf(&a));  // observed word reported
+  EXPECT_EQ(w.load(), ptr_t::clean_leaf(&a));  // word unchanged
 }
 
 TEST(TaggedWord, BtsIsIdempotent) {

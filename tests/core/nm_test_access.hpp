@@ -26,7 +26,7 @@ struct nm_tree_test_access {
   static bool leaf_key_matches(const Tree& t,
                                const typename Tree::key_type& key) {
     auto sr = seek(t, key);
-    return t.less_.equal(key, sr.leaf->key());
+    return t.holds(sr.leaf, key);
   }
 
   /// Plants the flag a delete's injection CAS would plant, then stops —
@@ -37,9 +37,9 @@ struct nm_tree_test_access {
                                     const typename Tree::key_type& key) {
     typename Tree::seek_record sr;
     t.seek(key, sr);
-    if (!t.less_.equal(key, sr.leaf->key())) return false;
+    if (!t.holds(sr.leaf, key)) return false;
     auto& child_field = t.child_field_for(sr.parent, key);
-    auto expected = Tree::ptr_t::clean(sr.leaf);
+    auto expected = Tree::edge_to(sr.leaf);
     return child_field.compare_exchange(
         expected, expected.with_marks(/*flagged=*/true, /*tagged=*/false));
   }
@@ -52,8 +52,8 @@ struct nm_tree_test_access {
     if (!inject_stalled_delete(t, key)) return false;
     typename Tree::seek_record sr;
     t.seek(key, sr);
-    auto& sibling_field = t.less_(key, sr.parent->key()) ? sr.parent->right
-                                                         : sr.parent->left;
+    auto& sibling_field = t.less_(key, sr.parent->key) ? sr.parent->right
+                                                       : sr.parent->left;
     sibling_field.bts_tag();
     return true;
   }
@@ -98,7 +98,7 @@ struct nm_tree_test_access {
   static bool record_leaf_matches(const Tree& t,
                                   const typename Tree::key_type& key,
                                   const typename Tree::seek_record& sr) {
-    return t.less_.equal(key, sr.leaf->key());
+    return t.holds(sr.leaf, key);
   }
 
   /// Whether a held record skipped a tagged region (successor ≠ parent).
@@ -123,12 +123,11 @@ struct nm_tree_test_access {
   static std::size_t access_path_depth(const Tree& t,
                                        const typename Tree::key_type& key) {
     std::size_t depth = 0;
-    const typename Tree::node* n = t.r_;
-    while (!n->is_leaf) {
-      const auto* in = Tree::as_internal(n);
-      n = t.less_(key, in->key())
-              ? in->left.load(std::memory_order_relaxed).address()
-              : in->right.load(std::memory_order_relaxed).address();
+    auto e = Tree::edge_to(t.r_);
+    while (!e.leaf()) {
+      const auto* in = Tree::as_internal(e.address());
+      e = t.less_(key, in->key) ? in->left.load(std::memory_order_relaxed)
+                                : in->right.load(std::memory_order_relaxed);
       ++depth;
     }
     return depth;
@@ -163,15 +162,15 @@ struct nm_tree_test_access {
   template <typename Tree>
   static std::size_t reachable_node_count(const Tree& t) {
     std::size_t n = 0;
-    std::vector<const typename Tree::node*> stack{t.r_};
+    std::vector<typename Tree::ptr_t> stack{Tree::edge_to(t.r_)};
     while (!stack.empty()) {
-      const auto* x = stack.back();
+      const auto e = stack.back();
       stack.pop_back();
       ++n;
-      if (x->is_leaf) continue;
-      const auto* in = Tree::as_internal(x);
-      stack.push_back(in->left.load(std::memory_order_relaxed).address());
-      stack.push_back(in->right.load(std::memory_order_relaxed).address());
+      if (e.leaf()) continue;
+      const auto* in = Tree::as_internal(e.address());
+      stack.push_back(in->left.load(std::memory_order_relaxed));
+      stack.push_back(in->right.load(std::memory_order_relaxed));
     }
     return n;
   }
