@@ -14,11 +14,11 @@
 //   scan    : cross-shard ordered scans racing writers, self-checking
 //             (sorted + stable-key completeness columns the perf gate
 //             enforces).
-//   rebalance : static router vs the adaptive rebalancer under uniform,
-//             hotspot and Zipf key streams — throughput plus the
-//             max-shard-share imbalance gauge sampled at the start and
-//             end of the run (check_rebalance gates: adaptive must beat
-//             static on skew and drive the share toward 1/shards).
+//   skew    : the static router under uniform, hotspot and Zipf key
+//             streams — throughput plus the max-shard-share imbalance
+//             gauge sampled at the start and end of the run. Skewed
+//             rows against the uniform one show what shard imbalance
+//             costs (DESIGN.md §8.3).
 //
 // Defaults are laptop-sized; scale with flags:
 //   bench_sharded --millis 2000 --threads 1,2,4,8 --shards 1,2,4,8,16
@@ -32,8 +32,6 @@
 #include <thread>
 #include <vector>
 
-#include <optional>
-
 #include "common/barrier.hpp"
 #include "common/rng.hpp"
 #include "harness/algorithms.hpp"
@@ -45,8 +43,6 @@
 #include "harness/workload.hpp"
 #include "harness/zipf.hpp"
 #include "obs/export.hpp"
-#include "obs/heatmap.hpp"
-#include "shard/rebalancer.hpp"
 
 namespace {
 
@@ -109,22 +105,20 @@ double run_batch_soup(Set& set, std::int64_t key_range, unsigned threads,
   return static_cast<double>(elements.load()) / secs / 1e6;
 }
 
-// One rebalance-study run: a 50/25/25 soup whose key stream is
+// One skew-study run: a 50/25/25 soup whose key stream is
 // `workload` (uniform | hotspot90 | zipf), with the max-shard-share
 // imbalance gauge sampled over the first and last quarter of the run.
-// The rebalancer (when any) is already started by the caller.
-struct rebalance_result {
+struct skew_result {
   double mops = 0.0;
   double share_start = 0.0;
   double share_end = 0.0;
 };
 
 template <typename Set>
-rebalance_result run_rebalance_case(Set& set, std::int64_t key_range,
-                                    const std::string& workload,
-                                    unsigned threads,
-                                    std::chrono::milliseconds duration,
-                                    std::uint64_t seed) {
+skew_result run_skew_case(Set& set, std::int64_t key_range,
+                          const std::string& workload, unsigned threads,
+                          std::chrono::milliseconds duration,
+                          std::uint64_t seed) {
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> total_ops{0};
   spin_barrier barrier(threads + 1);
@@ -195,7 +189,7 @@ rebalance_result run_rebalance_case(Set& set, std::int64_t key_range,
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  rebalance_result r;
+  skew_result r;
   r.mops = static_cast<double>(total_ops.load()) / secs / 1e6;
   r.share_start = max_share(w0, w1);
   r.share_end = max_share(w2, w3);
@@ -398,63 +392,36 @@ int main(int argc, char** argv) {
            std::to_string(merged.values[i])});
     }
   }
-  // --- rebalance study -------------------------------------------------
-  // Static router vs the adaptive rebalancer under uniform, hotspot and
-  // Zipf key streams. Besides throughput, each row samples the
-  // max-shard-share imbalance gauge over the first and last quarter of
-  // the run: adaptive rows must drive it toward 1/shards on skewed
-  // streams (check_rebalance gates this together with the throughput
-  // win over the matching static row).
-  text_table rebalance_tbl({"study", "mode", "workload", "shards", "threads",
-                            "mops_per_sec", "migrations", "keys_migrated",
-                            "share_start", "share_end"});
+  // --- skew study ------------------------------------------------------
+  // The static router under uniform, hotspot and Zipf key streams.
+  // Besides throughput, each row samples the max-shard-share imbalance
+  // gauge over the first and last quarter of the run, so a skewed row
+  // states how unbalanced the shards were while it ran.
+  text_table skew_tbl({"study", "workload", "shards", "threads",
+                       "mops_per_sec", "share_start", "share_end"});
   {
-    using rb_tree =
+    using skew_tree =
         nm_tree<long, std::less<long>, reclaim::epoch, obs::recording>;
-    using rb_set = shard::sharded_set<rb_tree>;
-    const std::size_t rb_shards =
+    using skew_set = shard::sharded_set<skew_tree>;
+    const std::size_t skew_shards =
         static_cast<std::size_t>(shard_counts.back());
-    const unsigned rb_threads = static_cast<unsigned>(threads.back());
+    const unsigned skew_threads = static_cast<unsigned>(threads.back());
     if (!csv_only) {
-      std::printf("\n=== Adaptive rebalancing (shards=%zu, threads=%u) ===\n",
-                  rb_shards, rb_threads);
+      std::printf("\n=== Skewed key streams (shards=%zu, threads=%u) ===\n",
+                  skew_shards, skew_threads);
     }
     for (const char* workload : {"uniform", "hotspot90", "zipf"}) {
-      for (const bool adaptive : {false, true}) {
-        rb_set set(rb_set::router_type(rb_shards, 0,
-                                       static_cast<long>(key_range)));
-        obs::key_heatmap heatmap(0, key_range);
-        set.for_each_shard_stats(
-            [&](obs::recording& stats) { stats.attach_heatmap(&heatmap); });
-        prepopulate_half(set, static_cast<std::uint64_t>(key_range), seed);
-        heatmap.reset();  // the prepopulate fill is not workload signal
-        std::optional<shard::rebalancer<rb_set>> rebalancer;
-        if (adaptive) {
-          shard::rebalancer_options ropts;
-          ropts.interval_ms = std::max<std::uint64_t>(
-              5, static_cast<std::uint64_t>(millis) / 20);
-          ropts.min_window_ops = 512;
-          ropts.heatmap = &heatmap;
-          rebalancer.emplace(set, ropts);
-          rebalancer->start();
-        }
-        const rebalance_result r = run_rebalance_case(
-            set, key_range, workload, rb_threads, duration, seed);
-        if (rebalancer) rebalancer->stop();
-        rebalance_tbl.add_row(
-            {"rebalance", adaptive ? "adaptive" : "static", workload,
-             std::to_string(rb_shards), std::to_string(rb_threads),
-             format("%.4f", r.mops), std::to_string(set.migration_count()),
-             std::to_string(set.keys_migrated()),
-             format("%.4f", r.share_start), format("%.4f", r.share_end)});
-        if (!csv_only) {
-          std::printf("  %-9s %-9s  %8.3f Mops/s  migrations=%llu "
-                      "keys=%llu  share %.3f -> %.3f\n",
-                      workload, adaptive ? "adaptive" : "static", r.mops,
-                      static_cast<unsigned long long>(set.migration_count()),
-                      static_cast<unsigned long long>(set.keys_migrated()),
-                      r.share_start, r.share_end);
-        }
+      skew_set set(skew_shards, 0, static_cast<long>(key_range));
+      prepopulate_half(set, static_cast<std::uint64_t>(key_range), seed);
+      const skew_result r = run_skew_case(set, key_range, workload,
+                                          skew_threads, duration, seed);
+      skew_tbl.add_row({"skew", workload, std::to_string(skew_shards),
+                        std::to_string(skew_threads), format("%.4f", r.mops),
+                        format("%.4f", r.share_start),
+                        format("%.4f", r.share_end)});
+      if (!csv_only) {
+        std::printf("  %-9s  %8.3f Mops/s  share %.3f -> %.3f\n", workload,
+                    r.mops, r.share_start, r.share_end);
       }
     }
   }
@@ -475,9 +442,8 @@ int main(int argc, char** argv) {
     report.config.set("seed", seed);
     report.config.set("key_range", key_range);
     report.config.set("extended", extended);
-    // The rebalance gate reads this: on a single-core runner the
-    // balanced configuration cannot out-run the static one (threads
-    // timeslice one core), so only the balance-outcome columns gate.
+    // Every multi-thread row depends on it: on a single-core runner
+    // the threads timeslice one core.
     report.config.set(
         "hardware_threads",
         static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
@@ -491,9 +457,9 @@ int main(int argc, char** argv) {
     const obs::json::value scan_rows =
         obs::rows_from_table(scan_tbl.header(), scan_tbl.rows());
     for (const auto& row : scan_rows.items()) report.add_result(row);
-    const obs::json::value rebalance_rows =
-        obs::rows_from_table(rebalance_tbl.header(), rebalance_tbl.rows());
-    for (const auto& row : rebalance_rows.items()) report.add_result(row);
+    const obs::json::value skew_rows =
+        obs::rows_from_table(skew_tbl.header(), skew_tbl.rows());
+    for (const auto& row : skew_rows.items()) report.add_result(row);
     if (!report.write_file(path)) return 1;
     if (!csv_only) std::printf("\nJSON report: %s\n", path.c_str());
   }

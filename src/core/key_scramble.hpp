@@ -5,7 +5,7 @@
 // bit-reversed-counter or attacker-chosen key stream degenerates it to
 // an O(n) spine, turning every seek into a linear walk — a latent
 // performance bug and a real DoS vector once lfbst_serve fronts the
-// tree on a socket. Rather than rebalance (the Chatterjee et al. /
+// tree on a socket. Rather than balance the tree (the Chatterjee et al. /
 // Concurrency-Optimal BST route), this header destroys the adversary's
 // control over the *shape*: keys are passed through an invertible
 // xorshift-multiply bijection before they reach the ordered structure,
@@ -149,9 +149,8 @@ constexpr Key unscramble_key(Key key, std::uint64_t seed = 0) noexcept {
 /// or shard::sharded_set over any of them) whose *stored* keys are the
 /// scrambled images of the client's keys. Point ops are one extra
 /// multiply-xorshift round each way (<2 ns); the full metrics /
-/// sharding / migration surface of the wrapped set is forwarded
-/// unchanged so telemetry samplers, rebalancers and the server front
-/// it transparently. Splitters, heatmaps and routers underneath the
+/// sharding surface of the wrapped set is forwarded unchanged so
+/// telemetry samplers and the server front it transparently. Splitters, heatmaps and routers underneath the
 /// adapter live in scrambled space by construction.
 template <typename Set>
 class scrambled_set {
@@ -305,9 +304,9 @@ class scrambled_set {
   // --- forwarded observability / sharding surface ---------------------
   //
   // Each member exists exactly when the wrapped set provides it, so
-  // obs::sampler, shard::rebalancer and basic_server instantiate
-  // against the adapter the same way they would against the set
-  // itself. Splitter keys and heatmap buckets are in scrambled space.
+  // obs::sampler and basic_server instantiate against the adapter the
+  // same way they would against the set itself. Splitter keys and
+  // heatmap buckets are in scrambled space.
 
   [[nodiscard]] auto& stats() const
     requires requires(const Set& t) { t.stats(); }
@@ -351,13 +350,6 @@ class scrambled_set {
     return inner_.merged_seek_depth_histogram();
   }
 
-  template <typename Snap>
-  void add_layer_counters(Snap& snap) const
-    requires requires(const Set& t, Snap& s) { t.add_layer_counters(s); }
-  {
-    inner_.add_layer_counters(snap);
-  }
-
   [[nodiscard]] std::size_t shard_count() const
     requires requires(const Set& t) { t.shard_count(); }
   {
@@ -374,32 +366,6 @@ class scrambled_set {
     requires requires(const Set& t) { t.router(); }
   {
     return inner_.router();
-  }
-
-  /// Splitter coordinates are scrambled-space values: callers derive
-  /// them from this set's own router/heatmap, never from client keys.
-  std::size_t migrate_splitter(std::size_t boundary, key_type new_splitter)
-    requires requires(Set& t, key_type k) { t.migrate_splitter(0, k); }
-  {
-    return inner_.migrate_splitter(boundary, new_splitter);
-  }
-
-  [[nodiscard]] std::uint64_t migration_count() const noexcept
-    requires requires(const Set& t) { t.migration_count(); }
-  {
-    return inner_.migration_count();
-  }
-
-  [[nodiscard]] std::uint64_t keys_migrated() const noexcept
-    requires requires(const Set& t) { t.keys_migrated(); }
-  {
-    return inner_.keys_migrated();
-  }
-
-  [[nodiscard]] std::uint64_t dual_route_window_ns() const noexcept
-    requires requires(const Set& t) { t.dual_route_window_ns(); }
-  {
-    return inner_.dual_route_window_ns();
   }
 
  private:

@@ -60,8 +60,7 @@ namespace lfbst::dsched {
 }
 
 /// Scripts record their operations through the one lincheck recorder
-/// of the execution, shared by all its logical threads; `tree()` gives
-/// control-plane calls that append no history entry.
+/// of the execution, shared by all its logical threads.
 template <typename Tree>
 using recorder = lincheck::recorder<Tree>;
 

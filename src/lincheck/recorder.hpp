@@ -94,12 +94,6 @@ class recorder {
     return result;
   }
 
-  /// The set under test — for scripts that drive control-plane calls
-  /// (e.g. sharded_set::migrate_splitter) racing the recorded
-  /// operations. Those calls append no history entries: they must not
-  /// change membership at all.
-  [[nodiscard]] Set& tree() noexcept { return set_; }
-
   /// The completed history; call only after all recording threads have
   /// finished.
   [[nodiscard]] history take() {

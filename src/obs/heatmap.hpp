@@ -8,8 +8,7 @@
 // sampled op. The resulting bucket counts estimate where in the key
 // space traffic concentrates: the live-telemetry layer
 // (obs/telemetry.hpp, docs/TELEMETRY.md) exposes them per scrape so a
-// skewed or append-mostly key stream is visible while it happens, and
-// ROADMAP item 3's splitter migration has a sensor to act on.
+// skewed or append-mostly key stream is visible while it happens.
 //
 // Thread-safety: record() is safe from any thread (relaxed fetch_add —
 // unlike the single-writer counter stripes, a shared bucket grid is

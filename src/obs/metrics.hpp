@@ -75,9 +75,6 @@ enum class counter : unsigned {
   ops_scan,            // completed range_scan/for_each calls
   scan_keys_visited,   // keys emitted across all scans
   scan_restarts,       // scan validation failures forcing a re-descent
-  migrations,          // completed shard subrange migrations
-  keys_migrated,       // keys moved between shards by migrations
-  dual_route_window_ns,  // total wall time keys spent dual-routed
   kCount
 };
 
@@ -108,9 +105,6 @@ inline constexpr std::size_t counter_count =
     case counter::ops_scan: return "ops_scan";
     case counter::scan_keys_visited: return "scan_keys_visited";
     case counter::scan_restarts: return "scan_restarts";
-    case counter::migrations: return "migrations";
-    case counter::keys_migrated: return "keys_migrated";
-    case counter::dual_route_window_ns: return "dual_route_window_ns";
     case counter::kCount: break;
   }
   return "unknown";

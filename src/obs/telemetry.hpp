@@ -5,9 +5,9 @@
 //
 //   * telemetry_window — one sampling interval's worth of deltas:
 //     merged counter deltas (rates, not lifetime totals), per-shard
-//     point-op deltas (the load-share/imbalance signal ROADMAP item
-//     3's rebalancer consumes), and p50/p99 latency and seek-depth
-//     computed from histogram deltas over the window.
+//     point-op deltas (the load-share/imbalance signal), and p50/p99
+//     latency and seek-depth computed from histogram deltas over the
+//     window.
 //
 //   * telemetry_ring — a fixed ring of the most recent windows, each
 //     slot a per-slot seqlock over plain atomic words: one writer (the
@@ -282,9 +282,6 @@ class sampler {
       if (i < telemetry_max_shards) shard_total[i] = snap.point_ops();
       total.merge(snap);
     }
-    if constexpr (requires { set_->add_layer_counters(total); }) {
-      set_->add_layer_counters(total);  // migrations etc. (shard layer)
-    }
 
     for (std::size_t c = 0; c < counter_count; ++c) {
       const std::string name =
@@ -404,9 +401,6 @@ class sampler {
       if (i < telemetry_max_shards) prev_shard_ops_[i] = snap.point_ops();
       prev_total_.merge(snap);
     }
-    if constexpr (requires { set_->add_layer_counters(prev_total_); }) {
-      set_->add_layer_counters(prev_total_);
-    }
     prev_lat_ = merged_latency();
     prev_seek_ = set_->merged_seek_depth_histogram();
     (void)shards;
@@ -427,9 +421,6 @@ class sampler {
       const metrics_snapshot snap = set_->shard_counters(i);
       if (i < telemetry_max_shards) shard_now[i] = snap.point_ops();
       total.merge(snap);
-    }
-    if constexpr (requires { set_->add_layer_counters(total); }) {
-      set_->add_layer_counters(total);  // window deltas include layer ops
     }
     const histogram lat = merged_latency();
     const histogram seek = set_->merged_seek_depth_histogram();

@@ -25,10 +25,6 @@
 // ephemeral, printed), --telemetry-ms sampling interval, --flight-file
 // dump path, --flight-ms dump window, --heatmap-lo/--heatmap-hi the
 // heatmap's key interval.
-// Rebalancing flags (docs/SHARDING.md): --rebalance arms the adaptive
-// rebalancer (heatmap-guided online subrange migrations),
-// --rebalance-ms its decision interval, --rebalance-threshold-pct the
-// imbalance trigger ratio in percent.
 // Shape-resilience flag (docs/RESILIENCE.md): --scramble=SEED wraps the
 // sharded set in lfbst::scrambled_set, bijectively mixing every key at
 // the protocol boundary so adversarial insertion orders (sequential
@@ -43,7 +39,6 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
-#include <optional>
 #include <string>
 
 #include "core/key_scramble.hpp"
@@ -56,7 +51,6 @@
 #include "obs/trace.hpp"
 #include "server/server.hpp"
 #include "server/stat_endpoint.hpp"
-#include "shard/rebalancer.hpp"
 #include "shard/sharded_set.hpp"
 
 namespace {
@@ -85,7 +79,7 @@ void sigusr1_handler(int) {
 
 /// Everything after set construction, generic over the set layering
 /// (raw sharded vs scrambled-over-sharded): telemetry plane, stat
-/// opcode, rebalancer, serve loop, drain, and the exit report.
+/// opcode, serve loop, drain, and the exit report.
 template <typename SetT>
 int run_server(const lfbst::bench::flags& flags,
                lfbst::server::server_config cfg, SetT& set, bool scrambled) {
@@ -144,24 +138,8 @@ int run_server(const lfbst::bench::flags& flags,
       total.merge(snap);
     }
     out.shard_window_ops.resize(out.shard_ops.size(), 0);
-    set.add_layer_counters(total);  // migrations & co. ride the wire too
     out.counters.assign(total.values.begin(), total.values.end());
   });
-  // The adaptive rebalancer (constructed before the event threads
-  // exist: arming the migration-aware op paths must happen-before any
-  // operation). It feeds on the same heatmap the telemetry plane
-  // samples, so hot-key mass picks the split points.
-  std::optional<lfbst::shard::rebalancer<SetT>> rebalancer;
-  if (flags.get_int("rebalance", 0) != 0) {
-    lfbst::shard::rebalancer_options ropts;
-    ropts.interval_ms =
-        static_cast<std::uint64_t>(flags.get_int("rebalance-ms", 100));
-    ropts.trigger_ratio = static_cast<double>(flags.get_int(
-                              "rebalance-threshold-pct", 150)) /
-                          100.0;
-    ropts.heatmap = &heatmap;
-    rebalancer.emplace(set, ropts);
-  }
   if (!server.start()) {
     std::fprintf(stderr, "lfbst_serve: cannot listen on %s:%u\n",
                  cfg.host.c_str(), static_cast<unsigned>(cfg.port));
@@ -172,11 +150,6 @@ int run_server(const lfbst::bench::flags& flags,
               cfg.event_threads);
 
   sampler.start();
-  if (rebalancer) {
-    rebalancer->start();
-    std::printf("lfbst_serve: adaptive rebalancer on (interval %lld ms)\n",
-                static_cast<long long>(flags.get_int("rebalance-ms", 100)));
-  }
   g_sampler_dump = [](void* p) {
     static_cast<sampler_type*>(p)->request_flight_dump();
   };
@@ -221,7 +194,6 @@ int run_server(const lfbst::bench::flags& flags,
   server.join();
 
   exposition.stop();
-  if (rebalancer) rebalancer->stop();
   g_sampler.store(nullptr, std::memory_order_release);
   sampler.stop();
   lfbst::obs::set_global_trace_sink(nullptr);
@@ -232,7 +204,7 @@ int run_server(const lfbst::bench::flags& flags,
       "lfbst_serve: conns=%llu/%llu frames=%llu responses=%llu "
       "bytes=%llu/%llu proto_errors=%llu nack_drain=%llu "
       "coalesced=%llu/%llu backpressure=%llu stat=%llu "
-      "windows=%llu flight_dumps=%llu migrations=%llu/%llu\n",
+      "windows=%llu flight_dumps=%llu\n",
       static_cast<unsigned long long>(st.connections_accepted.load()),
       static_cast<unsigned long long>(st.connections_closed.load()),
       static_cast<unsigned long long>(st.frames_in.load()),
@@ -246,9 +218,7 @@ int run_server(const lfbst::bench::flags& flags,
       static_cast<unsigned long long>(st.backpressure_pauses.load()),
       static_cast<unsigned long long>(st.stat_requests.load()),
       static_cast<unsigned long long>(sampler.windows_published()),
-      static_cast<unsigned long long>(sampler.flight_dumps()),
-      static_cast<unsigned long long>(set.migration_count()),
-      static_cast<unsigned long long>(set.keys_migrated()));
+      static_cast<unsigned long long>(sampler.flight_dumps()));
 
   if (flags.has("json")) {
     lfbst::obs::bench_report report("lfbst_serve");
@@ -292,9 +262,8 @@ int run_server(const lfbst::bench::flags& flags,
 int main(int argc, char** argv) {
   const lfbst::bench::flags flags(argc, argv, {
       "drain-ms", "flight-capacity", "flight-file", "flight-ms", "heatmap-hi",
-      "heatmap-lo", "host", "json", "metrics-port", "port", "rebalance",
-      "rebalance-ms", "rebalance-threshold-pct", "scan-page", "scramble",
-      "shards", "telemetry-ms", "threads"});
+      "heatmap-lo", "host", "json", "metrics-port", "port", "scan-page",
+      "scramble", "shards", "telemetry-ms", "threads"});
   lfbst::server::server_config cfg;
   cfg.host = flags.get("host", "127.0.0.1");
   cfg.port = static_cast<std::uint16_t>(flags.get_int("port", 7171));

@@ -19,8 +19,8 @@
 //   * Request coalescing: the inbox is drained in maximal runs of
 //     same-opcode point requests (get/get/get...), and each run is
 //     executed through one contains_batch / insert_batch / erase_batch
-//     call, so the set's per-call work (op gate, partition load) amortizes
-//     across the whole pipelined run. Responses are emitted in input
+//     call, so the set's per-call work amortizes across the whole
+//     pipelined run. Responses are emitted in input
 //     order (the protocol has request ids, but order is guaranteed per
 //     connection anyway).
 //   * Backpressure: when a connection's unflushed write bytes exceed

@@ -97,43 +97,6 @@ class range_router {
   }
 
   [[nodiscard]] Key lo() const noexcept { return lo_; }
-  /// One past the last routed key (inclusive upper edge + 1 saturated).
-  [[nodiscard]] Key hi_inclusive() const noexcept { return hi_inclusive_; }
-
-  /// `key` rounded down to its bucket edge — the induced splitter a
-  /// router with this domain would use for a requested splitter at
-  /// `key`. Rebalancers pass candidate split points through this before
-  /// validating them against the neighboring splitters, so a midpoint
-  /// that quantizes onto an existing boundary is rejected up front
-  /// instead of tripping with_splitter's assertions.
-  [[nodiscard]] Key quantize_down(Key key) const noexcept {
-    const Key clamped =
-        key < lo_ ? lo_ : (key > hi_inclusive_ ? hi_inclusive_ : key);
-    const ukey offset = static_cast<ukey>(clamped) - static_cast<ukey>(lo_);
-    return static_cast<Key>(static_cast<ukey>(lo_) +
-                            ((offset >> shift_) << shift_));
-  }
-
-  /// A router identical to this one except splitter(boundary) moves to
-  /// `new_splitter` (1 <= boundary < shard_count). The new splitter
-  /// must already be a bucket edge (quantize_down) lying strictly
-  /// between the two neighboring induced splitters. Domain, shard count
-  /// and bucket grid are preserved, so the copy routes every key to the
-  /// same shard as before except across the one moved boundary — the
-  /// exact property the online migration protocol relies on.
-  [[nodiscard]] range_router with_splitter(std::size_t boundary,
-                                           Key new_splitter) const {
-    LFBST_ASSERT(boundary >= 1 && boundary < shard_count_,
-                 "with_splitter boundary out of range");
-    std::vector<Key> splitters(splitters_.begin() + 1, splitters_.end());
-    splitters[boundary - 1] = new_splitter;
-    const bool full_domain =
-        lo_ == std::numeric_limits<Key>::min() &&
-        hi_inclusive_ == std::numeric_limits<Key>::max();
-    const Key hi =
-        full_domain ? hi_inclusive_ : static_cast<Key>(hi_inclusive_ + 1);
-    return range_router(shard_count_, lo_, hi, &splitters, full_domain);
-  }
 
  private:
   range_router(std::size_t shard_count, Key lo, Key hi,

@@ -195,8 +195,8 @@ TEST(DschedScheduler, StepBudgetExhaustionThrowsAfterUnblocking) {
 
 TEST(DschedScheduler, StepBudgetDrainLetsASpinnerSeeAnotherThreadsStep) {
   // Thread 0 waits through schedule points for a flag that thread 1
-  // sets several points in, the shape of sharded_set's quiescence wait
-  // in a migration. The strategy starves thread 1 until the budget
+  // sets several points in, the shape of any spin-wait on another
+  // thread's store. The strategy starves thread 1 until the budget
   // blows; the drain must still run it, or run() never returns.
   std::atomic<bool> flag{false};
   auto waiter = [&flag] {

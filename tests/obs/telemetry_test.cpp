@@ -94,13 +94,19 @@ TEST(TelemetryRing, ConcurrentReadersNeverSeeTornWindows) {
   // The seqlock invariant: whatever a reader successfully returns must
   // be one of the windows the writer actually published — the
   // per-window checksum relation (shard_ops derived from seq) holds.
+  // The writer publishes at least 50 000 windows and then keeps going
+  // until every reader has returned one, so on an oversubscribed host
+  // a reader that is scheduled late still races live publishes.
+  constexpr int kReaders = 3;
   telemetry_ring ring;
   std::atomic<bool> stop{false};
   std::vector<std::thread> readers;
   std::atomic<std::uint64_t> good_reads{0};
-  for (int r = 0; r < 3; ++r) {
+  std::atomic<int> readers_served{0};
+  for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&] {
       telemetry_window out;
+      bool served = false;
       while (!stop.load(std::memory_order_relaxed)) {
         if (!ring.latest(out)) continue;
         // Every field of a valid window is derived from its seq.
@@ -109,12 +115,25 @@ TEST(TelemetryRing, ConcurrentReadersNeverSeeTornWindows) {
         ASSERT_EQ(out.lat_p50_ns, out.seq + 1);
         ASSERT_EQ(out.shard_ops[3], out.seq * 10 + 3);
         good_reads.fetch_add(1, std::memory_order_relaxed);
+        if (!served) {
+          served = true;
+          readers_served.fetch_add(1, std::memory_order_relaxed);
+        }
       }
     });
   }
-  for (std::uint64_t s = 0; s < 50'000; ++s) ring.publish(make_window(s));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  std::uint64_t s = 0;
+  while (s < 50'000 ||
+         (readers_served.load(std::memory_order_relaxed) < kReaders &&
+          std::chrono::steady_clock::now() < deadline)) {
+    ring.publish(make_window(s++));
+  }
   stop.store(true, std::memory_order_relaxed);
   for (auto& t : readers) t.join();
+  EXPECT_EQ(readers_served.load(), kReaders)
+      << "a reader returned no window within 30 s of publishing";
   EXPECT_GT(good_reads.load(), 0u);
 }
 

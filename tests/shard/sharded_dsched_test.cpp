@@ -143,145 +143,5 @@ TEST(ShardedDsched, ThreeThreadBatchSoupPctSweep) {
   EXPECT_TRUE(walk.all_ok()) << walk.first_failure;
 }
 
-// --------------------------------------------------------------------
-// Splitter migration racing recorded operations. The migration thread
-// drives sharded_set::migrate_splitter through the recorder's tree()
-// escape hatch: it is control plane, not a history op — the check is
-// precisely that membership histories stay linearizable while the
-// partition moves under them. dual-routing window, gate quiescence and
-// drain all execute at schedule points (the inner trees and the gate
-// spins both run under sched_atomics/shared_step).
-//
-// Only DFS and random-walk exploration here, no PCT: the quiesce spin
-// is a genuine wait (the migrator cannot progress while an op thread
-// is parked inside the gate), and PCT's fixed priorities can pin the
-// spinning migrator forever — a scheduler artifact, not a bug. DFS's
-// lowest-runnable completion rule and the random walk are both fair
-// enough to drain the gate on every explored path.
-// --------------------------------------------------------------------
-
-TEST(ShardedDschedMigration, SinglesRacingSplitterMigrationExhaustive) {
-  scenario sc;
-  sc.setup = [](sched_sharded& t) {
-    ASSERT_TRUE(t.insert(14));  // inside the moving subrange [12, 16)
-    ASSERT_TRUE(t.insert(17));  // shard 1, outside it
-  };
-  sc.threads.push_back([](dsched::recorder<sched_sharded>& r) {
-    r.insert(15);  // lands in the subrange mid-flight
-    r.contains(14);
-    r.erase(17);
-  });
-  sc.threads.push_back([](dsched::recorder<sched_sharded>& r) {
-    // Lower splitter 1 from 16 to 12: [12, 16) moves shard 0 -> 1.
-    (void)r.tree().migrate_splitter(1, 12);
-  });
-  sc.universe = {14, 15, 17};
-  sc.on_terminal = [](sched_sharded& t) {
-    ASSERT_EQ(t.router().splitter(1), 12);
-    // Post-migration, every key sits where the new router points.
-    for (int k : t.shard(1).range_scan_closed(0, 63)) {
-      ASSERT_GE(k, 12);
-    }
-    ASSERT_TRUE(t.shard(0).range_scan_closed(12, 63).empty());
-  };
-  const auto sum = dsched::explore_dfs(sc, dsched::scaled_budget(2048));
-  EXPECT_TRUE(sum.all_ok()) << sum.first_failure;
-  EXPECT_GE(sum.executions, 50u);
-}
-
-TEST(ShardedDschedMigration, BatchAcrossMovingBoundaryExhaustive) {
-  scenario sc;
-  sc.setup = [](sched_sharded& t) {
-    ASSERT_TRUE(t.insert(13));
-  };
-  sc.threads.push_back([](dsched::recorder<sched_sharded>& r) {
-    // One element in the moving subrange, one outside: the batch's
-    // two per-element linearization points straddle the flip.
-    r.insert_batch({14, 18});
-    r.erase(13);
-  });
-  sc.threads.push_back([](dsched::recorder<sched_sharded>& r) {
-    (void)r.tree().migrate_splitter(1, 12);
-  });
-  sc.universe = {13, 14, 18};
-  const auto sum = dsched::explore_dfs(sc, dsched::scaled_budget(2048));
-  EXPECT_TRUE(sum.all_ok()) << sum.first_failure;
-  EXPECT_GE(sum.executions, 50u);
-}
-
-TEST(ShardedDschedMigration, ScanRacingSplitterMigrationSweep) {
-  scenario sc;
-  sc.setup = [](sched_sharded& t) {
-    for (int k : {10, 14, 18}) ASSERT_TRUE(t.insert(k));
-  };
-  sc.threads.push_back([](dsched::recorder<sched_sharded>& r) {
-    // The conservative-interval scan contract must hold across the
-    // flip: 10 and 18 are present the whole time and must appear.
-    r.range_scan(8, 24);
-  });
-  sc.threads.push_back([](dsched::recorder<sched_sharded>& r) {
-    r.erase(14);
-    r.insert(15);
-  });
-  sc.threads.push_back([](dsched::recorder<sched_sharded>& r) {
-    (void)r.tree().migrate_splitter(1, 12);
-  });
-  sc.universe = {10, 14, 15, 18};
-  const auto dfs = dsched::explore_dfs(sc, dsched::scaled_budget(1024));
-  EXPECT_TRUE(dfs.all_ok()) << dfs.first_failure;
-  const auto walk = dsched::explore_random(sc, /*base_seed=*/11000,
-                                           dsched::scaled_budget(500));
-  EXPECT_TRUE(walk.all_ok()) << walk.first_failure;
-}
-
-TEST(ShardedDschedMigration, DuelingInsertsStraddlingRecordPublishRandomWalk) {
-  // Two inserts of one key in the moving subrange [12, 16). If one
-  // enters the gate and reads no record, and the other enters after the
-  // record is published, the first inserts into the donor and the second
-  // into the recipient: both report success. Operations that entered
-  // before the first quiescence flip must route solo, and dual-path
-  // inserts must wait for that quiescence. Random walk, not DFS: DFS
-  // varies the late steps first and never reached this interleaving
-  // within budget; the walk found it in 32 of 400 seeds.
-  scenario sc;
-  for (int i = 0; i < 2; ++i) {
-    sc.threads.push_back(
-        [](dsched::recorder<sched_sharded>& r) { r.insert(14); });
-  }
-  sc.threads.push_back([](dsched::recorder<sched_sharded>& r) {
-    (void)r.tree().migrate_splitter(1, 12);
-  });
-  sc.universe = {14};
-  const auto walk = dsched::explore_random(sc, /*base_seed=*/15000,
-                                           dsched::scaled_budget(100));
-  EXPECT_TRUE(walk.all_ok()) << walk.first_failure;
-}
-
-TEST(ShardedDschedMigration, OpposingMigrationsRandomWalk) {
-  scenario sc;
-  sc.setup = [](sched_sharded& t) {
-    for (int k : {14, 30, 46}) ASSERT_TRUE(t.insert(k));
-  };
-  sc.threads.push_back([](dsched::recorder<sched_sharded>& r) {
-    r.insert(15);
-    r.contains(30);
-    r.erase(46);
-  });
-  sc.threads.push_back([](dsched::recorder<sched_sharded>& r) {
-    // Two serialized flips of different boundaries from one control
-    // thread: boundary 1 down, boundary 3 up.
-    (void)r.tree().migrate_splitter(1, 12);
-    (void)r.tree().migrate_splitter(3, 52);
-  });
-  sc.universe = {14, 15, 30, 46};
-  sc.on_terminal = [](sched_sharded& t) {
-    ASSERT_EQ(t.router().splitter(1), 12);
-    ASSERT_EQ(t.router().splitter(3), 52);
-  };
-  const auto walk = dsched::explore_random(sc, /*base_seed=*/13000,
-                                           dsched::scaled_budget(600));
-  EXPECT_TRUE(walk.all_ok()) << walk.first_failure;
-}
-
 }  // namespace
 }  // namespace lfbst

@@ -37,9 +37,8 @@ STUDY_REQUIRED = {
     "server": {"study", "mix", "connections", "pipeline", "event_threads",
                "shards", "ops", "mops_per_sec", "p50_ns", "p99_ns",
                "p999_ns"},
-    "rebalance": {"study", "mode", "workload", "shards", "threads",
-                  "mops_per_sec", "migrations", "keys_migrated",
-                  "share_start", "share_end"},
+    "skew": {"study", "workload", "shards", "threads", "mops_per_sec",
+             "share_start", "share_end"},
     "kary_zipf": {"study", "algorithm", "threads", "theta", "mops_per_sec"},
     "seek_depth": {"study", "stream", "algorithm", "scramble", "n", "shards",
                    "mops", "depth_p50", "depth_p99", "depth_max"},

@@ -52,16 +52,7 @@ A fourth check gates the TCP front-end when --server points at a fresh
       the ratio is not). The percentile ladder must also be ordered and
       every cell non-empty.
 
-A fifth check gates the adaptive rebalancer when --sharded points at a
-fresh `bench_sharded --json` report:
-
-  rebalance — within-report, static vs adaptive rows per workload: the
-      rebalancer thread must not tax the uniform case, the rebalancer
-      must fire and flatten max-shard-share on the skewed streams, and
-      (on runners with real parallelism) adaptive throughput must hold
-      against static. See check_rebalance for the full contract.
-
-A sixth check gates the adversarial-shape mitigation when --skew points
+A fifth check gates the adversarial-shape mitigation when --skew points
 at a fresh `bench_skew --json` report (docs/RESILIENCE.md):
 
   shape — the study's raw (unscrambled) sequential and adaptive_attack
@@ -400,131 +391,6 @@ def check_server(server_path, baseline_path, slack):
     return failures
 
 
-REBALANCE_WORKLOADS = ("uniform", "hotspot90", "zipf")
-REBALANCE_SKEWED = ("hotspot90", "zipf")
-# Threads the runner must actually have before balanced shards can
-# out-run imbalanced ones in wall-clock terms; below this the workers
-# timeslice and the comparison measures only scheduler noise.
-REBALANCE_MIN_HW_THREADS = 4
-
-
-def check_rebalance(sharded_path, uniform_slack, skew_slack, margin):
-    """Gate on the adaptive rebalancer (bench_sharded --json).
-
-    Within-report, static vs adaptive per workload — no baseline file,
-    because every quantity compared is a ratio of two rows measured in
-    the same run on the same machine:
-
-      * uniform — every operation enters the op gate in both rows, so
-        the pair prices the rebalancer thread and any migration it
-        runs: the adaptive row must cost at most
-        --rebalance-uniform-slack against the static row (no
-        rebalancer): rebalancing may never tax the balanced case.
-        Like the skewed throughput gates, this needs >= 4 hardware
-        threads — on a timesliced core the extra rebalancer thread's
-        scheduling alone swings wall-clock both ways by more than any
-        honest overhead band.
-      * hotspot90 / zipf — the rebalancer must be *live* (migrations and
-        keys_migrated both non-zero) and must actually flatten the load:
-        the adaptive row's end-of-run max-shard-share must undercut the
-        static row's by at least --rebalance-margin.
-      * hotspot90 / zipf throughput — adaptive must hold within
-        --rebalance-skew-slack of static, but only when the report's
-        config says the runner has >= 4 hardware threads; on smaller
-        runners the threads timeslice one or two cores, imbalance costs
-        nothing, and migration overhead is pure loss by construction.
-    """
-    failures = []
-    if not sharded_path:
-        print("  [skip] rebalance: no --sharded report supplied")
-        return failures
-    try:
-        with open(sharded_path) as f:
-            doc = json.load(f)
-        if doc.get("schema") != SCHEMA:
-            raise ValueError(f"schema is {doc.get('schema')!r}")
-        rows = rows_by_study(doc.get("results") or [], "rebalance")
-    except (OSError, ValueError, json.JSONDecodeError) as e:
-        return [f"rebalance: {sharded_path}: {e}"]
-    if not rows:
-        return [f"rebalance: no study=rebalance rows in {sharded_path}"]
-    cells = {(r["workload"], r["mode"]): r for r in rows}
-    hw = int(doc.get("config", {}).get("hardware_threads") or 0)
-    for workload in REBALANCE_WORKLOADS:
-        static = cells.get((workload, "static"))
-        adaptive = cells.get((workload, "adaptive"))
-        if static is None or adaptive is None:
-            failures.append(
-                f"rebalance: workload {workload!r} missing a "
-                f"static/adaptive row pair")
-            continue
-        if int(static["migrations"]) != 0:
-            failures.append(
-                f"rebalance: static {workload} row reports "
-                f"{static['migrations']} migrations — the static "
-                f"baseline ran with rebalancing on")
-        s_mops, a_mops = float(static["mops_per_sec"]), \
-            float(adaptive["mops_per_sec"])
-        if workload == "uniform":
-            if hw < REBALANCE_MIN_HW_THREADS:
-                print(f"  [skip] rebalance {workload:>9} throughput: "
-                      f"runner has {hw} hardware thread(s), need "
-                      f"{REBALANCE_MIN_HW_THREADS} for a meaningful race")
-                continue
-            floor = s_mops * (1.0 - uniform_slack)
-            status = "FAIL" if a_mops < floor else "ok"
-            print(f"  [{status}] rebalance {workload:>9} throughput "
-                  f"static {s_mops:.3f} -> adaptive {a_mops:.3f} Mops/s "
-                  f"(floor {floor:.3f})")
-            if a_mops < floor:
-                failures.append(
-                    f"rebalance: uniform adaptive {a_mops:.3f} Mops/s fell "
-                    f"more than {100 * uniform_slack:.0f}% below static "
-                    f"{s_mops:.3f} — the rebalancer taxes the balanced "
-                    f"case")
-            continue
-        migrations = int(adaptive["migrations"])
-        moved = int(adaptive["keys_migrated"])
-        status = "FAIL" if migrations == 0 or moved == 0 else "ok"
-        print(f"  [{status}] rebalance {workload:>9} liveness: "
-              f"{migrations} migrations, {moved} keys moved")
-        if migrations == 0 or moved == 0:
-            failures.append(
-                f"rebalance: {workload} adaptive run migrated nothing "
-                f"({migrations} migrations, {moved} keys) — the "
-                f"rebalancer never fired on a skewed stream")
-            continue
-        s_share = float(static["share_end"])
-        a_share = float(adaptive["share_end"])
-        limit = s_share * (1.0 - margin)
-        status = "FAIL" if a_share > limit else "ok"
-        print(f"  [{status}] rebalance {workload:>9} max-shard-share "
-              f"static {s_share:.3f} vs adaptive {a_share:.3f} "
-              f"(limit {limit:.3f})")
-        if a_share > limit:
-            failures.append(
-                f"rebalance: {workload} adaptive end-of-run share "
-                f"{a_share:.3f} does not undercut static {s_share:.3f} by "
-                f"{100 * margin:.0f}% — migrations ran but the load never "
-                f"flattened")
-        if hw >= REBALANCE_MIN_HW_THREADS:
-            floor = s_mops * (1.0 - skew_slack)
-            status = "FAIL" if a_mops < floor else "ok"
-            print(f"  [{status}] rebalance {workload:>9} throughput "
-                  f"static {s_mops:.3f} -> adaptive {a_mops:.3f} Mops/s "
-                  f"(floor {floor:.3f})")
-            if a_mops < floor:
-                failures.append(
-                    f"rebalance: {workload} adaptive {a_mops:.3f} Mops/s "
-                    f"fell more than {100 * skew_slack:.0f}% below static "
-                    f"{s_mops:.3f} on {hw} hardware threads")
-        else:
-            print(f"  [skip] rebalance {workload:>9} throughput: runner "
-                  f"has {hw} hardware thread(s), need "
-                  f"{REBALANCE_MIN_HW_THREADS} for a meaningful race")
-    return failures
-
-
 SHAPE_SPINE_STREAMS = ("sequential", "adaptive_attack")
 # A raw spine row must reach depth_max >= n / (shards * divisor): deep
 # enough that only a degenerate (linear-in-n) shape can produce it —
@@ -726,7 +592,7 @@ def main():
     ap.add_argument("current", nargs="?", default=None,
                     help="fresh bench_micro_ops --json output (optional "
                          "when only the standalone gates --server/"
-                         "--sharded/--serve-report are wanted, e.g. the "
+                         "--serve-report are wanted, e.g. the "
                          "nightly attack-stream soak)")
     ap.add_argument("--baseline", default="bench/baseline_micro_ops.json")
     ap.add_argument("--max-regression", type=float, default=0.25,
@@ -748,18 +614,6 @@ def main():
     ap.add_argument("--server-slack", type=float, default=1.50,
                     help="allowed growth of the server p99/p50 tail "
                          "amplification vs its baseline")
-    ap.add_argument("--sharded", default=None,
-                    help="fresh bench_sharded --json output (optional; "
-                         "enables the adaptive-rebalancer gate)")
-    ap.add_argument("--rebalance-uniform-slack", type=float, default=0.10,
-                    help="allowed adaptive-vs-static throughput shortfall "
-                         "on the uniform (no-migration) workload")
-    ap.add_argument("--rebalance-skew-slack", type=float, default=0.35,
-                    help="allowed adaptive-vs-static throughput shortfall "
-                         "on skewed workloads (multi-core runners only)")
-    ap.add_argument("--rebalance-margin", type=float, default=0.05,
-                    help="required reduction of the end-of-run max-shard-"
-                         "share, adaptive vs static, on skewed workloads")
     ap.add_argument("--skew", default=None,
                     help="fresh bench_skew --json output (optional; "
                          "enables the adversarial-shape gate)")
@@ -795,9 +649,6 @@ def main():
         print("perf gate: standalone mode (no bench_micro_ops report)")
     failures += check_server(args.server, args.server_baseline,
                              args.server_slack)
-    failures += check_rebalance(args.sharded, args.rebalance_uniform_slack,
-                                args.rebalance_skew_slack,
-                                args.rebalance_margin)
     failures += check_shape(args.skew, current, args.shape_depth_slack,
                             args.shape_uniform_slack)
     failures += check_serve_shape(args.serve_report, args.shape_depth_slack)
