@@ -240,7 +240,7 @@ class efrb_tree {
 
   [[nodiscard]] std::string validate() const {
     std::string err;
-    if (root_->key.rank != 3) err += "root key is not inf2; ";
+    if (root_->key.rank != skey::inf2().rank) err += "root key is not inf2; ";
     struct frame {
       const node* n;
       const skey* low;

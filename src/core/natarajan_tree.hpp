@@ -5,17 +5,22 @@
 // leaves; internal nodes hold routing keys and always have exactly two
 // children. The two kinds are separate types from separate pools: a
 // leaf is the bare client key plus, for maps, the value (a set leaf
-// with 8-byte keys is 8 bytes), an internal node is a sentinel-extended
-// routing key and two child words (32 bytes). Neither stores its kind:
-// the edge that addresses a node says whether it is a leaf. Three
+// with 8-byte keys is 8 bytes), an internal node is a bare routing key
+// and two child words (24 bytes for 8-byte keys). Neither stores its
+// kind: the edge that addresses a node says whether it is a leaf. Three
 // sentinel keys ∞₀ < ∞₁ < ∞₂ (greater than all client keys) anchor the
 // structure so every access path has a parent and a grandparent (paper
 // Fig. 3): the root ℝ (key ∞₂) with right child leaf(∞₂), ℝ's left
 // child 𝕊 (key ∞₁) with right child leaf(∞₁), and 𝕊's left child
 // leaf(∞₀). All client activity happens in 𝕊's left subtree; ℝ and 𝕊
 // and the three sentinel leaves are never removed and their edges
-// toward other sentinels are never marked, so a leaf's sentinel rank is
-// known from its address.
+// toward other sentinels are never marked. No node stores a sentinel
+// key; each is known by position instead. A leaf's sentinel rank is its
+// address. ℝ and 𝕊 are known by address, and the only internal node
+// keyed ∞₀, I(∞₀), made when an insert splits leaf(∞₀), is always an
+// internal child of 𝕊 with leaf(∞₀) on its right. So a key descent
+// goes left at ℝ, at 𝕊 and at an internal child of 𝕊 without reading a
+// key, and compares bare client keys everywhere below.
 //
 // Coordination: a delete owns *edges*, not nodes. Each child word
 // carries three stolen bits (common/tagged_word.hpp), so nodes are
@@ -108,7 +113,6 @@
 #include "common/tagged_word.hpp"
 #include "core/ordered_scan.hpp"
 #include "core/restart_policy.hpp"
-#include "core/sentinel_key.hpp"
 #include "core/stats.hpp"
 #include "reclaim/epoch.hpp"
 #include "reclaim/leaky.hpp"
@@ -155,13 +159,14 @@ class nm_tree
   nm_tree()
       : leaf_pool_(sizeof(leaf_node), slab_arena::page_bytes,
                    alignof(leaf_node)),
-        internal_pool_(sizeof(internal_node)) {
-    // Build the empty tree of Figure 3. The sentinel leaves hold a
-    // default key; their rank is their address.
+        internal_pool_(sizeof(internal_node), slab_arena::page_bytes,
+                       alignof(internal_node)) {
+    // Build the empty tree of Figure 3. Every sentinel node holds a
+    // default key; their ranks are their positions.
     for (leaf_node*& leaf : sentinel_leaves_) leaf = make_leaf(Key{});
-    s_ = make_internal(skey::inf1(), edge_to(sentinel_leaves_[0]),
+    s_ = make_internal(Key{}, edge_to(sentinel_leaves_[0]),
                        edge_to(sentinel_leaves_[1]));
-    r_ = make_internal(skey::inf2(), edge_to(s_), edge_to(sentinel_leaves_[2]));
+    r_ = make_internal(Key{}, edge_to(s_), edge_to(sentinel_leaves_[2]));
   }
 
   nm_tree(const nm_tree&) = delete;
@@ -314,12 +319,15 @@ class nm_tree
   /// Structural invariant check (quiescent): external shape, key order,
   /// sentinel anchoring, and — since every completed delete physically
   /// removes its marks from the reachable tree — no reachable marked
-  /// edges. Returns an empty string when healthy, else a diagnostic.
+  /// edges. The anchoring is what routing by position relies on: 𝕊.left
+  /// is leaf(∞₀) or I(∞₀), an internal node whose right edge addresses
+  /// leaf(∞₀); no other reachable edge addresses leaf(∞₀); and no
+  /// sentinel node, the only nodes keyed above every client key, is
+  /// reachable below I(∞₀).left. Returns an empty string when healthy,
+  /// else a diagnostic.
   [[nodiscard]] std::string validate() const {
     std::string err;
     // Sentinel anchoring (Fig. 3).
-    if (r_->key.rank != 3) err += "root key is not inf2; ";
-    if (s_->key.rank != 2) err += "S key is not inf1; ";
     if (r_->left.load() != edge_to(s_)) err += "S is not R.left; ";
     if (r_->right.load() != edge_to(sentinel_leaves_[2])) {
       err += "R.right is not leaf(inf2); ";
@@ -327,7 +335,19 @@ class nm_tree
     if (s_->right.load() != edge_to(sentinel_leaves_[1])) {
       err += "S.right is not leaf(inf1); ";
     }
-    validate_subtree(err);
+    const ptr_t top = s_->left.load();
+    if (top == edge_to(sentinel_leaves_[0])) return err;  // no client key
+    if (top.marked() || top.leaf()) {
+      err += "S.left is neither a clean leaf(inf0) nor I(inf0); ";
+      return err;
+    }
+    const internal_node* inf0 = as_internal(top.address());
+    if (inf0->right.load() != edge_to(sentinel_leaves_[0])) {
+      err += "I(inf0).right is not leaf(inf0); ";
+    }
+    const ptr_t client = inf0->left.load();
+    if (client.marked()) err += "reachable marked edge at quiescence; ";
+    validate_subtree(client, err);
     return err;
   }
 
@@ -354,8 +374,6 @@ class nm_tree
   friend struct nm_tree_test_access;
   friend class ordered_scan<nm_tree, Key>;
 
-  using skey = sentinel_key<Key>;
-
   /// The empty base both node kinds derive from, and the type child
   /// words address. A node does not know its kind: the leaf bit of the
   /// edge it was reached over does (tagged_ptr::leaf), set once when the
@@ -371,25 +389,26 @@ class nm_tree
   /// construction and immutable while the leaf is published. Empty for
   /// sets ([[no_unique_address]] erases the member). 8-byte alignment
   /// keeps the three stolen bits of every leaf address free. The three
-  /// sentinel leaves hold Key{}; their rank is their address (key_of).
+  /// sentinel leaves hold Key{}; their rank is their address.
   struct alignas(8) leaf_node : node {
     leaf_node(Key k, payload_t p) : key(std::move(k)), payload(std::move(p)) {}
     Key key;
     [[no_unique_address]] payload_t payload;
   };
 
-  /// An internal node: a sentinel-extended routing key and the two
-  /// CAS-able child words.
-  struct internal_node : node {
-    internal_node(skey k, ptr_t l, ptr_t r) { rewire(std::move(k), l, r); }
+  /// An internal node: the bare routing key and the two CAS-able child
+  /// words. ℝ, 𝕊 and I(∞₀) hold keys no descent reads: they route by
+  /// position.
+  struct alignas(8) internal_node : node {
+    internal_node(Key k, ptr_t l, ptr_t r) { rewire(std::move(k), l, r); }
     /// Re-keys and re-links a node that is not yet published (insert
     /// reuses its scratch node across retries).
-    void rewire(skey k, ptr_t l, ptr_t r) {
+    void rewire(Key k, ptr_t l, ptr_t r) {
       key = std::move(k);
       left.store_relaxed(l);
       right.store_relaxed(r);
     }
-    skey key;
+    Key key;
     word_t left;
     word_t right;
   };
@@ -399,7 +418,7 @@ class nm_tree
   static_assert(is_map || sizeof(leaf_node) < sizeof(Key) + alignof(leaf_node),
                 "a set leaf is the key, padded to its alignment");
   static_assert(sizeof(internal_node) ==
-                    (sizeof(skey) + alignof(word_t) - 1) / alignof(word_t) *
+                    (sizeof(Key) + alignof(word_t) - 1) / alignof(word_t) *
                             alignof(word_t) +
                         2 * sizeof(word_t),
                 "an internal node is the key plus two child words");
@@ -432,10 +451,13 @@ class nm_tree
     internal_node* successor = nullptr;
     internal_node* parent = nullptr;
     leaf_node* leaf = nullptr;
-    // The word of the (ancestor → successor) edge. Maintained by the
-    // validated descent only, which re-reads it to prove a region
-    // reached over marked edges was not yet excised.
-    const word_t* anchor_edge = nullptr;
+    // The words the descent took: the (ancestor → successor) edge and
+    // the (parent → leaf) edge. They name the side of every node an
+    // operation CASes without reading its key, which sentinel nodes do
+    // not hold. The validated descent also re-reads `anchor_edge` to
+    // prove a region reached over marked edges was not yet excised.
+    word_t* anchor_edge = nullptr;
+    word_t* leaf_edge = nullptr;
     // Root-relative depth of the (ancestor → successor) edge: the value
     // the descent's depth counter held when `successor` was recorded.
     // A from_anchor resume seeds its counter from this so seek_depth
@@ -460,7 +482,7 @@ class nm_tree
         // --- injection mode ---
         leaf = sr.leaf;
         if (!holds(leaf, key)) return false;  // key absent
-        word_t& child_field = child_field_for(sr.parent, key);
+        word_t& child_field = *sr.leaf_edge;
         ptr_t expected = edge_to(leaf);
         stats_.on_cas();
         if (child_field.compare_exchange(
@@ -475,7 +497,7 @@ class nm_tree
             // not be spoofed by a freed-and-recycled address.
             reclaimer_.domain().announce(Reclaimer::hp_flagged, leaf);
           }
-          if (cleanup(key, sr)) return true;
+          if (cleanup(sr)) return true;
           // Our own first cleanup lost its ancestor CAS: a cleanup-mode
           // retry, exactly like the ones below.
           stats_.on_seek_restart(stats::restart_kind::cleanup_mode);
@@ -485,14 +507,14 @@ class nm_tree
           // addresses our leaf and is marked (Alg. 3 lines 79-81).
           if (expected.address() == leaf && expected.marked()) {
             stats_.on_help(help_kind_of(expected));
-            cleanup(key, sr);
+            cleanup(sr);
           }
           stats_.on_seek_restart(stats::restart_kind::injection_fail);
         }
       } else {
         // --- cleanup mode (Alg. 3 lines 82-87) ---
         if (sr.leaf != leaf) return true;  // someone removed it for us
-        if (cleanup(key, sr)) return true;
+        if (cleanup(sr)) return true;
         stats_.on_seek_restart(stats::restart_kind::cleanup_mode);
       }
       // Every path here lost a CAS race: yield briefly (the winner
@@ -527,7 +549,6 @@ class nm_tree
     [[maybe_unused]] backoff delay;
     seek(key, sr);
     for (;;) {
-      internal_node* parent = sr.parent;
       leaf_node* leaf = sr.leaf;
       if (holds(leaf, key)) {
         if (!assign_if_present) {
@@ -542,7 +563,7 @@ class nm_tree
         // edge first wins (our CAS fails and we help); if we win, the
         // old leaf is unreachable and we are its only retirer.
         if (new_leaf == nullptr) new_leaf = make_leaf(key, value);
-        word_t& child_field = child_field_for(parent, key);
+        word_t& child_field = *sr.leaf_edge;
         ptr_t expected = edge_to(leaf);
         stats_.on_cas();
         if (child_field.compare_exchange(expected, edge_to(new_leaf))) {
@@ -553,7 +574,7 @@ class nm_tree
         stats_.on_cas_fail();
         if (expected.address() == leaf && expected.marked()) {
           stats_.on_help(help_kind_of(expected));
-          cleanup(key, sr);
+          cleanup(sr);
         }
         stats_.on_seek_restart(stats::restart_kind::injection_fail);
         if constexpr (use_backoff) delay();
@@ -561,22 +582,23 @@ class nm_tree
         continue;
       }
 
-      word_t& child_field = child_field_for(parent, key);
+      word_t& child_field = *sr.leaf_edge;
       if (new_leaf == nullptr) {
         new_leaf = make_leaf(key, value);
       }
       if (new_internal == nullptr) {
-        new_internal = make_internal(skey{}, ptr_t{}, ptr_t{});
+        new_internal = make_internal(Key{}, ptr_t{}, ptr_t{});
       }
       // (Re)wire the unpublished internal node for this attempt:
       // routing key = max(key, leaf's key); the new leaf sits on the side
       // its key belongs, the existing leaf on the other (paper §3.2.3).
       // The leaf is a client leaf or leaf(∞₀), which every client key is
-      // below.
-      if (leaf == sentinel_leaves_[0] || less_.cmp(key, leaf->key)) {
-        new_internal->rewire(key_of(leaf), edge_to(new_leaf), edge_to(leaf));
+      // below. Splitting leaf(∞₀) makes I(∞₀), whose copy of the
+      // sentinel leaf's Key{} no descent reads: it routes by position.
+      if (leaf == sentinel_leaves_[0] || less_(key, leaf->key)) {
+        new_internal->rewire(leaf->key, edge_to(new_leaf), edge_to(leaf));
       } else {
-        new_internal->rewire(skey(key), edge_to(leaf), edge_to(new_leaf));
+        new_internal->rewire(key, edge_to(leaf), edge_to(new_leaf));
       }
 
       ptr_t expected = edge_to(leaf);
@@ -590,7 +612,7 @@ class nm_tree
       // and is marked — i.e. a delete owns our injection point.
       if (expected.address() == leaf && expected.marked()) {
         stats_.on_help(help_kind_of(expected));
-        cleanup(key, sr);
+        cleanup(sr);
       }
       stats_.on_seek_restart(stats::restart_kind::injection_fail);
       if constexpr (use_backoff) delay();
@@ -606,7 +628,7 @@ class nm_tree
         leaf_node(std::move(k), std::move(payload));
   }
 
-  internal_node* make_internal(skey k, ptr_t left, ptr_t right) {
+  internal_node* make_internal(Key k, ptr_t left, ptr_t right) {
     stats_.on_alloc();
     return new (internal_pool_.allocate(sizeof(internal_node)))
         internal_node(std::move(k), left, right);
@@ -645,8 +667,8 @@ class nm_tree
   /// client keys go left at ℝ and 𝕊 — so one address compare rules out
   /// the sentinel.
   bool holds(const leaf_node* leaf, const Key& key) const {
-    return leaf != sentinel_leaves_[0] && !less_.cmp(key, leaf->key) &&
-           !less_.cmp(leaf->key, key);
+    return leaf != sentinel_leaves_[0] && !less_(key, leaf->key) &&
+           !less_(leaf->key, key);
   }
 
   /// True iff `leaf` is one of the three sentinel leaves.
@@ -655,22 +677,7 @@ class nm_tree
            leaf == sentinel_leaves_[2];
   }
 
-  /// The sentinel-extended key of `leaf`, its rank known by address.
-  skey key_of(const leaf_node* leaf) const {
-    if (leaf == sentinel_leaves_[0]) return skey::inf0();
-    if (leaf == sentinel_leaves_[1]) return skey::inf1();
-    if (leaf == sentinel_leaves_[2]) return skey::inf2();
-    return skey(leaf->key);
-  }
-
   // --- traversal ------------------------------------------------------
-
-  /// Child field of `parent` on the side `key` belongs (left iff
-  /// key < parent.key — ties go right, matching the paper's BST
-  /// property (b): right subtree holds keys >= node key).
-  word_t& child_field_for(internal_node* parent, const Key& key) const {
-    return less_(key, parent->key) ? parent->left : parent->right;
-  }
 
   /// Dispatches to the plain Alg. 1 seek, or — when the reclaimer needs
   /// per-node protection (reclaim::hazard) — to the validated seek that
@@ -714,11 +721,8 @@ class nm_tree
   /// stepped *through*), so resuming the descent below it is
   /// well-formed. Returns false when the anchor no longer holds.
   bool try_seek_from_anchor(const Key& key, seek_record& sr) const {
-    internal_node* anchor = sr.ancestor;
-    internal_node* successor = sr.successor;
-    const word_t& anchor_edge = child_field_for(anchor, key);
-    const ptr_t edge = anchor_edge.load();
-    if (edge.marked() || edge.address() != successor) return false;
+    const ptr_t edge = sr.anchor_edge->load();
+    if (edge.marked() || edge.address() != sr.successor) return false;
     // Seed the resumed descent's depth counter with the edge's recorded
     // root-relative depth (captured before seek_*_from resets sr), so
     // on_seek reports the full path length, not the post-anchor tail.
@@ -728,14 +732,23 @@ class nm_tree
       // hp_successor from the seek that recorded them (cleanup never
       // reassigns those slots), so the edge load above was safe and
       // the validated descent may resume under the same protection.
-      sr.parent = successor;
-      sr.anchor_edge = &anchor_edge;
-      return seek_protected_from(toward(key), sr, nullptr, base_depth)
+      sr.parent = sr.successor;
+      return seek_protected_from(toward(key), sentinel_levels(sr.ancestor),
+                                 sr, nullptr, base_depth)
                  .address() != nullptr;
     } else {
-      seek_plain_from(anchor, successor, key, sr, base_depth);
+      seek_plain_from(key, sr, base_depth);
       return true;
     }
+  }
+
+  /// How many levels of a key descent that starts at the successor of
+  /// the edge leaving `anchor` route by position: every client key goes
+  /// left at 𝕊 (ℝ's child) and at I(∞₀) (the only internal node 𝕊 ever
+  /// has as a child). A descent from 𝕊 meets both, the second only when
+  /// 𝕊.left is internal; one from I(∞₀) meets one; any other, none.
+  unsigned sentinel_levels(const internal_node* anchor) const noexcept {
+    return anchor == r_ ? 2 : anchor == s_ ? 1 : 0;
   }
 
   /// Hazard-pointer seek: same traversal as Alg. 1, but every node is
@@ -745,16 +758,18 @@ class nm_tree
   void seek_protected(const Key& key, seek_record& sr) const {
     do {
       sr = root_record();  // sentinels are never retired: always safe
-    } while (!seek_protected_from(toward(key), sr, nullptr, 0).address());
+    } while (!seek_protected_from(toward(key), sentinel_levels(r_), sr,
+                                  nullptr, 0)
+                  .address());
   }
 
-  /// The validated descent's root entry: the never-marked ℝ → 𝕊 edge.
+  /// A descent's root entry: the never-marked ℝ → 𝕊 edge.
   seek_record root_record() const {
     return {.ancestor = r_, .successor = s_, .parent = s_,
             .anchor_edge = &r_->left};
   }
 
-  /// Key routing for the validated descent: left iff key < node key.
+  /// Key routing below the sentinel levels: left iff key < node key.
   auto toward(const Key& key) const {
     return [this, &key](const internal_node* n) {
       return less_(key, n->key);
@@ -765,9 +780,11 @@ class nm_tree
   /// seeks, anchored retries and both descents of a scan round run it.
   /// Starts at sr.parent, an internal node at or below the recorded
   /// untagged edge (sr.ancestor → sr.successor) whose word is
-  /// sr.anchor_edge, and steps in the direction `route(node)` picks
-  /// (true = left) until a leaf is reached, maintaining sr exactly like
-  /// Alg. 1. Returns the landed leaf's incoming edge (address = sr.leaf,
+  /// sr.anchor_edge, and steps left for its first `sentinels` internal
+  /// nodes (see sentinel_levels), then in the direction `route(node)`
+  /// picks (true = left), until a leaf is reached, maintaining sr
+  /// exactly like Alg. 1.
+  /// Returns the landed leaf's incoming edge (address = sr.leaf,
   /// protected in hp_leaf; its flag bit says whether the leaf is
   /// logically deleted), or a null edge when a validation fails.
   /// Slot shuffling is safe without re-validation because each announce
@@ -796,7 +813,8 @@ class nm_tree
   /// or still announced by the descent that recorded them).
   template <typename Route>
   ptr_t seek_protected_from(
-      Route&& route, seek_record& sr, seek_record* turn = nullptr,
+      Route&& route, unsigned sentinels, seek_record& sr,
+      seek_record* turn = nullptr,
       std::optional<std::uint64_t> base_depth = std::nullopt) const {
     auto& dom = reclaimer_.domain();
     dom.announce(Reclaimer::hp_ancestor, sr.ancestor);
@@ -823,8 +841,8 @@ class nm_tree
     };
 
     internal_node* parent = sr.parent;  // protected by hp_parent
-    bool step_left = route(parent);
-    const word_t* parent_source = step_left ? &parent->left : &parent->right;
+    const bool first_left = sentinels > 0 || route(parent);
+    word_t* parent_source = first_left ? &parent->left : &parent->right;
     // Discovery load: acquire suffices — the candidate is not
     // dereferenced until the announce below is validated by the seq_cst
     // recheck, and it is that recheck (not this load) that must order
@@ -839,13 +857,12 @@ class nm_tree
     if (recheck.address() != at) return ptr_t();  // edge moved
     parent_field = recheck;
     if (parent_field.marked() && !anchor_holds()) return ptr_t();
-    if (step_left && turn != nullptr) note_turn(parent);
+    if (first_left && turn != nullptr) note_turn(parent);
 
-    // The validated word's leaf bit says whether `at` is a leaf.
-    while (!parent_field.leaf()) {
-      internal_node* in = as_internal(at);
-      step_left = route(in);
-      const word_t* current_source = step_left ? &in->left : &in->right;
+    // One validated step from `in` (= at, reached over parent_field) to
+    // the child on the `step_left` side. False when a validation fails.
+    const auto step = [&](internal_node* in, bool step_left) {
+      word_t* current_source = step_left ? &in->left : &in->right;
       // Discovery load (validated by the recheck below): acquire.
       ptr_t current_field = current_source->load(std::memory_order_acquire);
       node* current = current_field.address();
@@ -857,7 +874,7 @@ class nm_tree
       prefetch_ro(current);
       dom.announce(Reclaimer::hp_scratch, current);
       recheck = current_source->load(std::memory_order_seq_cst);
-      if (recheck.address() != current) return ptr_t();
+      if (recheck.address() != current) return false;
       current_field = recheck;
       if (!parent_field.tagged()) {
         sr.ancestor = parent;  // protected by hp_parent
@@ -869,7 +886,7 @@ class nm_tree
         dom.announce(Reclaimer::hp_ancestor, sr.ancestor);
         dom.announce(Reclaimer::hp_successor, sr.successor);
       }
-      if (current_field.marked() && !anchor_holds()) return ptr_t();
+      if (current_field.marked() && !anchor_holds()) return false;
       if (step_left && turn != nullptr) note_turn(in);
       parent = in;  // protected by hp_leaf
       dom.announce(Reclaimer::hp_parent, parent);
@@ -877,9 +894,22 @@ class nm_tree
       dom.announce(Reclaimer::hp_leaf, at);
       parent_field = current_field;
       parent_source = current_source;
+      return true;
+    };
+
+    // The validated word's leaf bit says whether `at` is a leaf. Below
+    // 𝕊, an internal node is I(∞₀), the second sentinel level.
+    if (sentinels > 1 && !parent_field.leaf() &&
+        !step(as_internal(at), /*step_left=*/true)) {
+      return ptr_t();
+    }
+    while (!parent_field.leaf()) {
+      internal_node* in = as_internal(at);
+      if (!step(in, route(in))) return ptr_t();
     }
     sr.parent = parent;
     sr.leaf = as_leaf(at);
+    sr.leaf_edge = parent_source;
     if constexpr (Stats::enabled) {
       if (base_depth.has_value()) stats_.on_seek(depth);
     }
@@ -888,10 +918,17 @@ class nm_tree
 
   /// Alg. 1 — the seek phase. Traverses from ℝ to a leaf, maintaining
   /// (ancestor, successor) = the last untagged edge seen before the
-  /// parent. All loads are acquire loads (tagged_word::load_pair).
+  /// parent. All loads are acquire loads.
   void seek_plain(const Key& key, seek_record& sr) const {
-    seek_plain_from(r_, s_, key, sr);
+    sr = root_record();
+    seek_plain_from(key, sr);
   }
+
+  /// A child word a descent loaded, and the word it came from.
+  struct edge_step {
+    ptr_t word;
+    word_t* source;
+  };
 
   /// One level of the plain descent: loads both child words of `in` as
   /// one shared-memory step, prefetches both children, and returns the
@@ -902,78 +939,91 @@ class nm_tree
   /// values (a cmov) leaves no branch on the compare to mispredict. The
   /// unrouted word only feeds its prefetch, a hint that is safe on any
   /// address.
-  ptr_t step_toward(const internal_node* in, const Key& key) const {
+  edge_step step_toward(internal_node* in, const Key& key) const {
     const auto [left, right] = word_t::load_pair(in->left, in->right);
     prefetch_ro(left.address());
     prefetch_ro(right.address());
-    return less_(key, in->key) ? left : right;
+    return less_(key, in->key) ? edge_step{left, &in->left}
+                               : edge_step{right, &in->right};
   }
 
-  /// Alg. 1 generalized to start from any (anchor → successor) edge on
-  /// the access path — the root seek passes (ℝ, 𝕊); the anchored retry
-  /// passes a just-validated recorded edge. `successor` is an internal
-  /// node (every recorded successor is: it was stepped through). The
-  /// paper finds the leaf by loading its null child word (line 22); the
-  /// descent here tests the leaf bit of the word it arrived on, and
-  /// touches no byte of a leaf.
-  void seek_plain_from(internal_node* anchor, internal_node* successor,
-                       const Key& key, seek_record& sr,
+  /// One sentinel level of the plain descent (𝕊 or I(∞₀)): every client
+  /// key goes left, and the right child is a sentinel leaf, so only the
+  /// left word is loaded and prefetched — still one shared-memory step.
+  edge_step step_left(internal_node* in) const {
+    const ptr_t left = in->left.load();
+    prefetch_ro(left.address());
+    return {left, &in->left};
+  }
+
+  /// Alg. 1 generalized to start from any recorded (ancestor →
+  /// successor) edge on the access path — the root seek passes
+  /// root_record(); the anchored retry passes a just-validated recorded
+  /// edge. The successor is an internal node (every recorded successor
+  /// is: it was stepped through). The paper finds the leaf by loading
+  /// its null child word (line 22); the descent here tests the leaf bit
+  /// of the word it arrived on, and touches no byte of a leaf. Its
+  /// first sentinel_levels() levels go left without a key compare.
+  void seek_plain_from(const Key& key, seek_record& sr,
                        std::uint64_t base_depth = 0) const {
-    sr.ancestor = anchor;              // line 15
-    sr.successor = successor;          // line 16
-    internal_node* parent = successor; // line 17
+    internal_node* parent = sr.successor;  // lines 15-17
     if constexpr (Stats::enabled) sr.anchor_depth = base_depth;
-    // line 19 (value of the edge successor→leaf)
-    ptr_t parent_field = step_toward(successor, key);
-    node* at = parent_field.address();  // line 18
     [[maybe_unused]] std::uint64_t depth = base_depth;
-    while (!parent_field.leaf()) {  // line 22
-      internal_node* in = as_internal(at);
-      const ptr_t current_field = step_toward(in, key);  // line 20
-      node* current = current_field.address();          // line 21
+    const unsigned sentinels = sentinel_levels(sr.ancestor);
+    // lines 18-19 (the edge successor → leaf)
+    edge_step at = sentinels > 0 ? step_left(parent) : step_toward(parent, key);
+    // Lines 20-28 for the internal node `in` that `at` addresses, whose
+    // routed child word is `next`.
+    const auto advance = [&](internal_node* in, edge_step next) {
       if constexpr (Stats::enabled) ++depth;
-      if (!parent_field.tagged()) {  // line 23
-        sr.ancestor = parent;        // line 24
-        sr.successor = in;           // line 25
+      if (!at.word.tagged()) {  // line 23
+        sr.ancestor = parent;   // line 24
+        sr.successor = in;      // line 25
+        sr.anchor_edge = at.source;
         // Depth of the new anchor edge: a resume restarts exactly at
         // the step this iteration just counted.
         if constexpr (Stats::enabled) sr.anchor_depth = depth;
       }
-      parent = in;                   // line 26
-      at = current;                  // line 27
-      parent_field = current_field;  // line 28
+      parent = in;  // line 26
+      at = next;    // lines 27-28
+    };
+    // Below 𝕊, an internal node is I(∞₀), the second sentinel level.
+    if (sentinels > 1 && !at.word.leaf()) {
+      internal_node* in = as_internal(at.word.address());
+      advance(in, step_left(in));
+    }
+    while (!at.word.leaf()) {  // line 22
+      internal_node* in = as_internal(at.word.address());
+      advance(in, step_toward(in, key));  // lines 20-21
     }
     sr.parent = parent;
-    sr.leaf = as_leaf(at);
+    sr.leaf = as_leaf(at.word.address());
+    sr.leaf_edge = at.source;
     if constexpr (Stats::enabled) stats_.on_seek(depth);
   }
 
   // --- cleanup (Alg. 4) -------------------------------------------------
 
-  /// Physically removes the flagged leaf nearest `key` together with its
-  /// parent (and any frozen chain between successor and parent — the
-  /// multi-leaf removal of Fig. 2). Invoked by the owning delete and by
-  /// helpers (failed insert/delete injections). Returns true iff this
-  /// call's ancestor CAS performed the removal.
-  bool cleanup(const Key& key, const seek_record& sr) {
+  /// Physically removes the flagged leaf at the end of the access path
+  /// `sr` records, together with its parent (and any frozen chain
+  /// between successor and parent — the multi-leaf removal of Fig. 2).
+  /// Invoked by the owning delete and by helpers (failed insert/delete
+  /// injections). Returns true iff this call's ancestor CAS performed
+  /// the removal.
+  bool cleanup(const seek_record& sr) {
     stats_.on_cleanup();
-    internal_node* ancestor = sr.ancestor;  // line 90
-    internal_node* successor = sr.successor;
+    internal_node* successor = sr.successor;  // lines 90-93
     internal_node* parent = sr.parent;
 
-    // Address of the ancestor's child field to swing (lines 94-96).
-    word_t& successor_field = child_field_for(ancestor, key);
+    // The ancestor's child field to swing (lines 94-96): the word the
+    // seek took at the ancestor.
+    word_t& successor_field = *sr.anchor_edge;
 
-    // Child and sibling fields of the parent (lines 97-102).
-    word_t* child_field;
-    word_t* sibling_field;
-    if (less_(key, parent->key)) {
-      child_field = &parent->left;
-      sibling_field = &parent->right;
-    } else {
-      child_field = &parent->right;
-      sibling_field = &parent->left;
-    }
+    // Child and sibling fields of the parent (lines 97-102): the child
+    // field is the word the seek took at the parent.
+    word_t* child_field = sr.leaf_edge;
+    word_t* sibling_field =
+        child_field == &parent->left ? &parent->right : &parent->left;
 
     if (!child_field->load().flagged()) {  // lines 103-105
       // The leaf on our side is not the one being deleted, so the
@@ -1089,7 +1139,12 @@ class nm_tree
   void scan_pinned(const Key* lo, const Key* hi, bool closed,
                    Emit& emit) const {
     std::vector<ptr_t> stack;
-    ptr_t edge = ptr_t::clean(r_);
+    // ℝ, 𝕊 and I(∞₀) send every key left, and their right children are
+    // sentinel leaves: walk their left edges without a key compare.
+    ptr_t edge = edge_to(r_);
+    for (int level = 0; level < 3 && !edge.leaf(); ++level) {
+      edge = as_internal(edge.address())->left.load();
+    }
     for (;;) {
       if (edge.leaf()) {
         // A flagged incoming edge means a delete linearized against
@@ -1105,7 +1160,7 @@ class nm_tree
         // on into the left subtree and stacks the right one, so the
         // left subtree drains first (leaf-only in-order).
         const internal_node* in = as_internal(edge.address());
-        const skey& k = in->key;
+        const Key& k = in->key;
         const ptr_t left = in->left.load();
         const bool go_left = lo == nullptr || less_(*lo, k);
         if (hi == nullptr || (closed ? !less_(*hi, k) : less_(k, *hi))) {
@@ -1146,13 +1201,14 @@ class nm_tree
     };
     seek_record sr = root_record();
     seek_record turn;
-    ptr_t landed = seek_protected_from(toward_cursor, sr, &turn);
+    ptr_t landed =
+        seek_protected_from(toward_cursor, sentinel_levels(r_), sr, &turn);
     if (landed.address() == nullptr) return {};
     // Every sentinel is above every cursor.
     const bool satisfied =
         cursor == nullptr || is_sentinel(sr.leaf) ||
-        (inclusive ? !less_.cmp(sr.leaf->key, *cursor)
-                   : less_.cmp(*cursor, sr.leaf->key));
+        (inclusive ? !less_(sr.leaf->key, *cursor)
+                   : less_(*cursor, sr.leaf->key));
     if (!satisfied) {
       // Every left subtree skipped below the turn holds only keys <=
       // cursor. A turn always exists: every client cursor routes left
@@ -1165,8 +1221,10 @@ class nm_tree
         at_turn = false;
         return left;
       };
+      // min_right reads no key, so no level of it goes by position: a
+      // turn at 𝕊 or I(∞₀) steps right onto a sentinel leaf.
       sr = turn;
-      landed = seek_protected_from(min_right, sr);
+      landed = seek_protected_from(min_right, /*sentinels=*/0, sr);
       if (landed.address() == nullptr) return {};
     }
     if (is_sentinel(sr.leaf)) return {.validated = true};  // past the last key
@@ -1228,20 +1286,27 @@ class nm_tree
     return best;
   }
 
-  void validate_subtree(std::string& err) const {
+  /// Checks the client region that edge `client` (I(∞₀).left) heads: order
+  /// bounds, external shape, no marks, and no sentinel node.
+  void validate_subtree(ptr_t client, std::string& err) const {
     struct frame {
       ptr_t e;
-      const skey* low;
-      const skey* high;
+      const Key* low;
+      const Key* high;
     };
-    std::vector<frame> stack{{edge_to(r_), nullptr, nullptr}};
+    std::vector<frame> stack{{client, nullptr, nullptr}};
     while (!stack.empty()) {
       auto [e, low, high] = stack.back();
       stack.pop_back();
+      const node* n = e.address();
+      if (e.leaf() ? is_sentinel(as_leaf(n)) : n == r_ || n == s_) {
+        err += "sentinel node in the client region; ";
+        continue;
+      }
       // Order bounds (paper §2 properties (a)/(b)): left subtree keys
       // strictly below the node key, right subtree keys at or above.
-      const internal_node* in = e.leaf() ? nullptr : as_internal(e.address());
-      const skey key = in != nullptr ? in->key : key_of(as_leaf(e.address()));
+      const internal_node* in = e.leaf() ? nullptr : as_internal(n);
+      const Key& key = in != nullptr ? in->key : as_leaf(n)->key;
       if (low != nullptr && less_(key, *low)) {
         err += "key below low bound; ";
       }
@@ -1277,7 +1342,7 @@ class nm_tree
 
   // --- members ----------------------------------------------------------
 
-  [[no_unique_address]] sentinel_less<Key, Compare> less_{};
+  [[no_unique_address]] Compare less_{};
   // Hooks fire through the instance (stats_.on_cas()) so policies may
   // carry per-instance state; for the stateless stats::none policy
   // the member is empty and the calls resolve to the static no-ops.
@@ -1285,8 +1350,9 @@ class nm_tree
   node_pool leaf_pool_;
   node_pool internal_pool_;
   mutable Reclaimer reclaimer_{};
-  internal_node* r_ = nullptr;  // ℝ: root sentinel, key ∞₂; never removed
-  internal_node* s_ = nullptr;  // 𝕊: ℝ's left child, key ∞₁; never removed
+  // ℝ and 𝕊 are never removed, so their addresses give their keys.
+  internal_node* r_ = nullptr;  // ℝ: root sentinel, key ∞₂
+  internal_node* s_ = nullptr;  // 𝕊: ℝ's left child, key ∞₁
   // leaf(∞₀), leaf(∞₁), leaf(∞₂): never removed, so a leaf's address
   // tells whether, and which, sentinel key it carries.
   leaf_node* sentinel_leaves_[3] = {};

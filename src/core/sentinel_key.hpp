@@ -1,14 +1,17 @@
-// lfbst: sentinel-extended keys for external search trees.
+// lfbst: sentinel-extended keys for the EFRB baseline.
 //
-// The NM-BST keeps three sentinel keys ∞₀ < ∞₁ < ∞₂ that are greater
-// than every client key and never removed (paper §3.2.1, Figure 3); the
-// EFRB baseline needs two (∞₁ < ∞₂). Reserving special values of the
-// client key type would constrain Key to integers with spare range, so
-// instead every node stores a `sentinel_key<Key>`: the client key plus a
-// rank byte. Rank 0 is a client key; ranks 1–3 are ∞₀, ∞₁, ∞₂. The
-// comparator orders by rank first (all sentinels above all client keys,
-// ordered among themselves by rank) and falls back to the client
-// comparator inside rank 0 — one predictable branch on the hot path.
+// The EFRB tree (baselines/efrb_tree.hpp) keeps two sentinel keys
+// ∞₁ < ∞₂ that are greater than every client key and never removed.
+// Reserving special values of the client key type would constrain Key to
+// integers with spare range, so instead every EFRB node stores a
+// `sentinel_key<Key>`: the client key plus a rank byte. Rank 0 is a
+// client key; ranks 1–2 are ∞₁, ∞₂. The comparator orders by rank first
+// (both sentinels above all client keys, ordered among themselves by
+// rank) and falls back to the client comparator inside rank 0 — one
+// predictable branch on the hot path.
+//
+// The NM-BST does not use this type: its sentinel nodes are known by
+// position (core/natarajan_tree.hpp), so its nodes store bare keys.
 #pragma once
 
 #include <cstdint>
@@ -24,12 +27,8 @@ struct sentinel_key {
   sentinel_key() = default;
   explicit sentinel_key(Key k) : key(std::move(k)), rank(0) {}
 
-  static sentinel_key inf0() { return make_sentinel(1); }
-  static sentinel_key inf1() { return make_sentinel(2); }
-  static sentinel_key inf2() { return make_sentinel(3); }
-  /// Below every client key (used by internal-tree baselines whose root
-  /// sentinel anchors the structure from below).
-  static sentinel_key neg_inf() { return make_sentinel(-1); }
+  static sentinel_key inf1() { return make_sentinel(1); }
+  static sentinel_key inf2() { return make_sentinel(2); }
 
   [[nodiscard]] bool is_sentinel() const noexcept { return rank != 0; }
 
@@ -57,14 +56,8 @@ struct sentinel_less {
   /// Client key vs stored key — the common traversal comparison; avoids
   /// materializing a sentinel_key per step.
   bool operator()(const Key& a, const sentinel_key<Key>& b) const {
-    if (b.rank != 0) return b.rank > 0;  // below +∞ ranks, above -∞
+    if (b.rank != 0) return true;  // every client key is below ∞₁, ∞₂
     return cmp(a, b.key);
-  }
-
-  /// Stored key vs client key (the mirror of the above).
-  bool operator()(const sentinel_key<Key>& a, const Key& b) const {
-    if (a.rank != 0) return a.rank < 0;  // -∞ below all; +∞ below none
-    return cmp(a.key, b);
   }
 
   /// Equality in terms of the strict order (used for hit tests).

@@ -38,7 +38,7 @@ struct nm_tree_test_access {
     typename Tree::seek_record sr;
     t.seek(key, sr);
     if (!t.holds(sr.leaf, key)) return false;
-    auto& child_field = t.child_field_for(sr.parent, key);
+    auto& child_field = *sr.leaf_edge;
     auto expected = Tree::edge_to(sr.leaf);
     return child_field.compare_exchange(
         expected, expected.with_marks(/*flagged=*/true, /*tagged=*/false));
@@ -52,8 +52,8 @@ struct nm_tree_test_access {
     if (!inject_stalled_delete(t, key)) return false;
     typename Tree::seek_record sr;
     t.seek(key, sr);
-    auto& sibling_field = t.less_(key, sr.parent->key) ? sr.parent->right
-                                                       : sr.parent->left;
+    auto& sibling_field = sr.leaf_edge == &sr.parent->left ? sr.parent->right
+                                                           : sr.parent->left;
     sibling_field.bts_tag();
     return true;
   }
@@ -83,7 +83,7 @@ struct nm_tree_test_access {
   static bool run_cleanup(Tree& t, const typename Tree::key_type& key) {
     typename Tree::seek_record sr;
     t.seek(key, sr);
-    return t.cleanup(key, sr);
+    return t.cleanup(sr);
   }
 
   /// True iff two seek records name the same four access-path nodes.
@@ -114,11 +114,12 @@ struct nm_tree_test_access {
                                           const typename Tree::key_type& key) {
     typename Tree::seek_record sr;
     t.seek(key, sr);
-    auto word = t.child_field_for(sr.parent, key).load();
+    auto word = sr.leaf_edge->load();
     return {word.flagged(), word.tagged()};
   }
 
   /// Depth of the leaf on the access path for `key` (root ℝ = depth 0).
+  /// ℝ, 𝕊 and I(∞₀) route every client key left by position.
   template <typename Tree>
   static std::size_t access_path_depth(const Tree& t,
                                        const typename Tree::key_type& key) {
@@ -126,8 +127,9 @@ struct nm_tree_test_access {
     auto e = Tree::edge_to(t.r_);
     while (!e.leaf()) {
       const auto* in = Tree::as_internal(e.address());
-      e = t.less_(key, in->key) ? in->left.load(std::memory_order_relaxed)
-                                : in->right.load(std::memory_order_relaxed);
+      const bool left = depth < 3 || t.less_(key, in->key);
+      e = left ? in->left.load(std::memory_order_relaxed)
+               : in->right.load(std::memory_order_relaxed);
       ++depth;
     }
     return depth;

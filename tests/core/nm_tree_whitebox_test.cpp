@@ -294,22 +294,24 @@ TEST(NmWhitebox, StalledDeleteBlocksReuseOfInjectionPoint) {
 
 // --- node memory per key ------------------------------------------------
 
-TEST(NmTreeMemory, LeavesAreEightBytesAndInternalNodesThirtyTwo) {
-  // A set leaf is the bare key: the node kind lives in the edge.
+TEST(NmTreeMemory, LeavesAreEightBytesAndInternalNodesTwentyFour) {
+  // A set leaf is the bare key: the node kind lives in the edge. An
+  // internal node is the bare key and two child words: sentinel nodes
+  // are known by position, so no node carries a rank.
   using set_t = nm_tree<long>;
   EXPECT_EQ(access::leaf_bytes<set_t>(), 8u);
-  EXPECT_EQ(access::internal_bytes<set_t>(), 32u);
+  EXPECT_EQ(access::internal_bytes<set_t>(), 24u);
   const set_t t;
   EXPECT_EQ(access::pool_block_bytes(t), std::make_pair(std::size_t{8},
-                                                        std::size_t{32}));
+                                                        std::size_t{24}));
   // A map's value rides in its leaves only: internal nodes are the same
-  // 32 bytes as a set's.
+  // 24 bytes as a set's.
   using map_t = nm_map<long, long>;
-  EXPECT_EQ(access::internal_bytes<map_t>(), 32u);
+  EXPECT_EQ(access::internal_bytes<map_t>(), 24u);
   EXPECT_EQ(access::leaf_bytes<map_t>(), 16u);
   const map_t m;
   EXPECT_EQ(access::pool_block_bytes(m), std::make_pair(std::size_t{16},
-                                                        std::size_t{32}));
+                                                        std::size_t{24}));
 }
 
 /// 2^16 distinct keys in a fixed shuffled order.
@@ -324,27 +326,27 @@ std::vector<long> shuffled_keys() {
   return keys;
 }
 
-TEST(NmTreeMemory, ShuffledInsertsUseAtMost41BytesPerKey) {
-  // One leaf (8 B) and one internal node (32 B) per key, plus at most
+TEST(NmTreeMemory, ShuffledInsertsUseAtMost33BytesPerKey) {
+  // One leaf (8 B) and one internal node (24 B) per key, plus at most
   // one partly used page per pool.
   const std::vector<long> keys = shuffled_keys();
   nm_tree<long, std::less<long>, reclaim::epoch> t;
   for (long k : keys) ASSERT_TRUE(t.insert(k));
   const double per_key = static_cast<double>(t.footprint_bytes()) /
                          static_cast<double>(keys.size());
-  EXPECT_LE(per_key, 41.0);
+  EXPECT_LE(per_key, 33.0);
   EXPECT_EQ(t.size_slow(), keys.size());
   EXPECT_EQ(t.validate(), "");
 }
 
-TEST(NmTreeMemory, ShuffledMapInsertsUseAtMost49BytesPerKey) {
-  // One (key, value) leaf (16 B) and one internal node (32 B) per key.
+TEST(NmTreeMemory, ShuffledMapInsertsUseAtMost41BytesPerKey) {
+  // One (key, value) leaf (16 B) and one internal node (24 B) per key.
   const std::vector<long> keys = shuffled_keys();
   nm_map<long, long, std::less<long>, reclaim::epoch> m;
   for (long k : keys) ASSERT_TRUE(m.insert(k, -k));
   const double per_key = static_cast<double>(m.footprint_bytes()) /
                          static_cast<double>(keys.size());
-  EXPECT_LE(per_key, 49.0);
+  EXPECT_LE(per_key, 41.0);
   EXPECT_EQ(m.size_slow(), keys.size());
   EXPECT_EQ(m.get(keys.front()), -keys.front());
   EXPECT_EQ(m.validate(), "");

@@ -1,6 +1,6 @@
-// Unit tests for sentinel-extended keys: the ∞₀ < ∞₁ < ∞₂ order the
-// NM-BST's anchoring depends on (paper Fig. 3), plus the -∞ rank used by
-// internal-tree baselines and the comparator's client-key fallback.
+// Unit tests for sentinel-extended keys: the ∞₁ < ∞₂ order the EFRB
+// baseline's anchoring depends on, and the comparator's client-key
+// fallback.
 #include "core/sentinel_key.hpp"
 
 #include <gtest/gtest.h>
@@ -23,35 +23,24 @@ TEST(SentinelKey, ClientKeysCompareByValue) {
 
 TEST(SentinelKey, InfinitiesAreOrdered) {
   sless less;
-  EXPECT_TRUE(less(skey::inf0(), skey::inf1()));
   EXPECT_TRUE(less(skey::inf1(), skey::inf2()));
-  EXPECT_TRUE(less(skey::inf0(), skey::inf2()));
-  EXPECT_FALSE(less(skey::inf2(), skey::inf0()));
+  EXPECT_FALSE(less(skey::inf2(), skey::inf1()));
 }
 
 TEST(SentinelKey, InfinitiesAboveAllClientKeys) {
   sless less;
   for (long k : {-1000000L, -1L, 0L, 1L, 1000000L}) {
-    EXPECT_TRUE(less(skey(k), skey::inf0()));
     EXPECT_TRUE(less(skey(k), skey::inf1()));
     EXPECT_TRUE(less(skey(k), skey::inf2()));
-    EXPECT_FALSE(less(skey::inf0(), skey(k)));
+    EXPECT_FALSE(less(skey::inf1(), skey(k)));
+    EXPECT_FALSE(less(skey::inf2(), skey(k)));
   }
-}
-
-TEST(SentinelKey, NegInfBelowAllClientKeys) {
-  sless less;
-  for (long k : {-1000000L, 0L, 1000000L}) {
-    EXPECT_TRUE(less(skey::neg_inf(), skey(k)));
-    EXPECT_FALSE(less(skey(k), skey::neg_inf()));
-  }
-  EXPECT_TRUE(less(skey::neg_inf(), skey::inf0()));
 }
 
 TEST(SentinelKey, EqualSentinelsAreNotLess) {
   sless less;
   EXPECT_FALSE(less(skey::inf1(), skey::inf1()));
-  EXPECT_FALSE(less(skey::neg_inf(), skey::neg_inf()));
+  EXPECT_FALSE(less(skey::inf2(), skey::inf2()));
 }
 
 TEST(SentinelKey, RawKeyVsStoredKeyOverload) {
@@ -59,31 +48,28 @@ TEST(SentinelKey, RawKeyVsStoredKeyOverload) {
   EXPECT_TRUE(less(3L, skey(4)));
   EXPECT_FALSE(less(4L, skey(4)));
   EXPECT_FALSE(less(5L, skey(4)));
-  EXPECT_TRUE(less(5L, skey::inf0()));   // every client key below +inf
-  EXPECT_FALSE(less(5L, skey::neg_inf()));  // ... and above -inf
+  EXPECT_TRUE(less(5L, skey::inf1()));  // every client key below +inf
 }
 
 TEST(SentinelKey, EqualityHelper) {
   sless less;
   EXPECT_TRUE(less.equal(7L, skey(7)));
   EXPECT_FALSE(less.equal(7L, skey(8)));
-  EXPECT_FALSE(less.equal(7L, skey::inf0()));
+  EXPECT_FALSE(less.equal(7L, skey::inf1()));
   EXPECT_FALSE(less.equal(7L, skey::inf2()));
 }
 
 TEST(SentinelKey, IsSentinelFlag) {
   EXPECT_FALSE(skey(0).is_sentinel());
-  EXPECT_TRUE(skey::inf0().is_sentinel());
   EXPECT_TRUE(skey::inf1().is_sentinel());
   EXPECT_TRUE(skey::inf2().is_sentinel());
-  EXPECT_TRUE(skey::neg_inf().is_sentinel());
 }
 
 TEST(SentinelKey, WorksWithNonTrivialKeyTypes) {
   using strkey = sentinel_key<std::string>;
   sentinel_less<std::string, std::less<std::string>> less;
   EXPECT_TRUE(less(strkey("abc"), strkey("abd")));
-  EXPECT_TRUE(less(strkey("zzz"), strkey::inf0()));
+  EXPECT_TRUE(less(strkey("zzz"), strkey::inf1()));
   EXPECT_TRUE(less.equal(std::string("x"), strkey("x")));
 }
 
@@ -93,7 +79,7 @@ TEST(SentinelKey, CustomComparatorIsRespected) {
   sentinel_less<long, std::greater<long>> less;
   EXPECT_TRUE(less(sentinel_key<long>(9), sentinel_key<long>(3)));
   EXPECT_FALSE(less(sentinel_key<long>(3), sentinel_key<long>(9)));
-  EXPECT_TRUE(less(sentinel_key<long>(-100), sentinel_key<long>::inf0()));
+  EXPECT_TRUE(less(sentinel_key<long>(-100), sentinel_key<long>::inf1()));
 }
 
 }  // namespace

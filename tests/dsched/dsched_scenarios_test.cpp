@@ -97,6 +97,41 @@ TEST(DschedScenarios, DeleteDeleteOnSiblingLeavesPct) {
   EXPECT_EQ(sum.executions, 200u);
 }
 
+// I(∞₀), the internal node an insert makes by splitting leaf(∞₀), is
+// created and excised under races. The tree routes it by position (an
+// internal child of 𝕊 sends every key left) and never reads its stored
+// key; every terminal state's validate() checks the invariant that makes
+// this sound: 𝕊.left is leaf(∞₀) or I(∞₀) with leaf(∞₀) on its right,
+// and no other reachable edge addresses leaf(∞₀).
+//
+// Exhaustively: erasing the only key excises I(∞₀) while an insert
+// races it, helps it, or makes a new I(∞₀) under the erase's re-seek.
+// Each thread inserting and erasing its own key on an empty tree (two
+// creations and two excisions) has too many interleavings to exhaust in
+// a unit test (over 10^6), so a PCT sweep covers that one.
+TEST(DschedScenarios, InfZeroInternalCreatedAndExcisedExhaustive) {
+  auto sc = make_scenario<sched_nm>(
+      /*setup=*/{1},
+      /*threads=*/{{{'e', 1}}, {{'i', 2}}},
+      /*universe=*/{1, 2});
+  const auto sum = dsched::explore_dfs(sc, dsched::scaled_budget(100000));
+  EXPECT_TRUE(sum.all_ok()) << sum.first_failure;
+  EXPECT_TRUE(sum.exhausted);
+  EXPECT_GT(sum.executions, 1000u);
+}
+
+TEST(DschedScenarios, InfZeroInternalCreatedAndExcisedPct) {
+  auto sc = make_scenario<sched_nm>(
+      /*setup=*/{},
+      /*threads=*/{{{'i', 1}, {'e', 1}}, {{'i', 2}, {'e', 2}}},
+      /*universe=*/{1, 2});
+  const auto sum = dsched::explore_pct(sc, /*base_seed=*/1,
+                                       dsched::scaled_budget(1000),
+                                       /*depth=*/3);
+  EXPECT_TRUE(sum.all_ok()) << sum.first_failure;
+  EXPECT_EQ(sum.executions, dsched::scaled_budget(1000));
+}
+
 // --------------------------------------------------------------------
 // Satellite scenario 1: exhaustive 2-thread insert/delete conflict on
 // adjacent keys. The insert's CAS targets the very edge the delete
