@@ -471,16 +471,11 @@ int run_json_mode(const lfbst::bench::flags& flags) {
   micro_rows.template operator()<
       kary_tree<long, 8, std::less<long>, reclaim::epoch>>("KST-epoch");
   micro_rows.template operator()<
-      kary_tree<long, 8, std::less<long>, reclaim::hazard>>("KST-hazard");
-  micro_rows.template operator()<
       kary_tree<long, 8, std::less<long>, reclaim::leaky, stats::none,
                 atomics::native, restart::from_root>>("KST-root");
   micro_rows.template operator()<
       kary_tree<long, 8, std::less<long>, reclaim::epoch, stats::none,
                 atomics::native, restart::from_root>>("KST-epoch-root");
-  micro_rows.template operator()<
-      kary_tree<long, 8, std::less<long>, reclaim::hazard, stats::none,
-                atomics::native, restart::from_root>>("KST-hazard-root");
 
   harness::text_table atomics({"study", "algorithm", "allocs_per_insert",
                                "atomics_per_insert", "allocs_per_erase",
@@ -579,12 +574,6 @@ int run_json_mode(const lfbst::bench::flags& flags) {
   scan_row.template operator()<
       kary_tree<long, 8, std::less<long>, reclaim::epoch, obs::recording>>(
       "KST/epoch", 2);
-  scan_row.template operator()<
-      kary_tree<long, 8, std::less<long>, reclaim::hazard, obs::recording>>(
-      "KST/hazard", 0);
-  scan_row.template operator()<
-      kary_tree<long, 8, std::less<long>, reclaim::hazard, obs::recording>>(
-      "KST/hazard", 2);
 
   // Read-heavy Zipf study: the multiway tree's headline claim, measured
   // in the regime it targets (theta 0.99 hot-spot reads at the tuned

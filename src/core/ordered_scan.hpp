@@ -12,9 +12,11 @@
 // This header holds everything about a scan that does not depend on the
 // tree's shape: the public entry points, the interval predicate, the
 // pin-once entry that picks the traversal the reclaimer allows, and the
-// cursor loop that drives a validated (hazard-pointer) scan. A tree
-// derives from ordered_scan<Tree, Key> (CRTP — no virtual dispatch),
-// befriends it, and supplies two members:
+// cursor loop that drives a validated (hazard-pointer) scan, which only
+// nm_tree takes: kary_tree rejects hazard pointers. A tree derives from
+// ordered_scan<Tree, Key> (CRTP — no virtual dispatch), befriends it,
+// and supplies scan_pinned, plus scan_round if it accepts a reclaimer
+// that requires validated traversal:
 //
 //   template <typename Emit>
 //   void scan_pinned(const Key* lo, const Key* hi, bool closed,
@@ -27,15 +29,15 @@
 //   template <typename Emit>
 //   scan_step<Key> scan_round(const Key* cursor, bool inclusive,
 //                             Emit& emit) const;
-//     Hazard: one validated descent answering "which keys come next at
-//     or after the cursor" (strictly after it when !inclusive; a null
-//     cursor means the start of the key space). Passes the present keys
-//     it found to emit in ascending order, only after the round
-//     validated, and reports where the next round starts. Here emit
-//     applies the interval and cursor tests itself. A failed
-//     validation emits nothing and returns a default scan_step; the
-//     loop here retries the round at the same cursor, so emitted
-//     progress is never redone.
+//     Hazard (nm_tree): one validated descent answering "which keys
+//     come next at or after the cursor" (strictly after it when
+//     !inclusive; a null cursor means the start of the key space).
+//     Passes the present keys it found to emit in ascending order,
+//     only after the round validated, and reports where the next round
+//     starts. Here emit applies the interval and cursor tests itself.
+//     A failed validation emits nothing and returns a default
+//     scan_step; the loop here retries the round at the same cursor,
+//     so emitted progress is never redone.
 //
 // emit counts the keys visited for on_scan_op. The pinned walk filters
 // with in_range itself because that keeps its hot loop small enough to

@@ -59,8 +59,6 @@ static_assert(ConcurrentSet<coarse_tree<long>>);
 static_assert(ConcurrentSet<kary_tree<long, 4>>);
 static_assert(ConcurrentSet<kary_tree<long>>);  // tuned default fanout
 static_assert(ConcurrentSet<
-              kary_tree<long, 8, std::less<long>, reclaim::hazard>>);
-static_assert(ConcurrentSet<
               kary_tree<long, 8, std::less<long>, reclaim::epoch, stats::none,
                         atomics::native, restart::from_root>>);
 static_assert(ConcurrentSet<shard::sharded_set<kary_tree<long, 8>>>);

@@ -43,22 +43,12 @@
 //            children jointly fit in one leaf is collapsed as soon as a
 //            delete touches it.
 //
-// Policy axes (full parity with core/natarajan_tree.hpp):
-//   Reclaimer — leaky, epoch, or hazard. Hazard pointers need the seek
-//     to validate per node; unlike the NM tree, k-ary edges are *never*
-//     marked (all coordination lives in the update words), so the
-//     edge-recheck recipe alone cannot prove a just-announced child is
-//     unretired: a COALESCE freezes the parent's child edges in place
-//     and retires the children only after swinging the *grandparent's*
-//     edge. The per-level fix: after announcing the child and
-//     re-reading the edge, re-read the parent's update word seq_cst and
-//     reject on MARK. The MARK precedes the excision swing and is
-//     terminal, so "unmarked after the announce" proves the children
-//     were not yet retired when announced. COALESCE only ever retires
-//     one internal node plus its direct leaf children, so this check
-//     exactly covers the exposure window. A rejected step first helps
-//     the coalesce finish its grandparent swing, so no descent can spin
-//     on a MARK whose eraser is descheduled (protect_child).
+// Policy axes (the NM tree's, minus hazard pointers):
+//   Reclaimer — leaky or epoch. Hazard pointers are rejected at compile
+//     time, as in EFRB, HJ and BCCO: k-ary edges are never marked (all
+//     coordination lives in the update words), so the NM tree's
+//     edge-recheck recipe cannot prove a just-announced child unretired
+//     (DESIGN.md §8.4).
 //   Stats — stats::none / obs::recording, via a
 //     per-instance policy object (heatmap on_op_key, seek depth, scan
 //     and restart attribution).
@@ -89,7 +79,6 @@
 #include <cstdint>
 #include <functional>
 #include <new>
-#include <optional>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -123,6 +112,10 @@ class kary_tree
   static_assert(Reclaimer::reclaims_eagerly ||
                     std::is_trivially_destructible_v<Key>,
                 "leaky reclamation requires trivially destructible keys");
+  static_assert(!Reclaimer::requires_validated_traversal,
+                "this tree's traversal does not validate per-node; use the "
+                "leaky or epoch reclaimer (hazard pointers need the NM "
+                "tree's protected seek)");
 
  public:
   using key_type = Key;
@@ -135,9 +128,6 @@ class kary_tree
   static constexpr const char* algorithm_name = "KST";
   static constexpr unsigned fanout = K;
   static constexpr unsigned leaf_capacity = K - 1;
-  /// Hazard pointers require the validated traversal below; epoch and
-  /// leaky take the plain descent.
-  static constexpr bool validated = Reclaimer::requires_validated_traversal;
   /// Contended-path niceties (bounded backoff, descent prefetch) are
   /// disabled under an interposing atomics policy so dsched explores
   /// the bare protocol.
@@ -168,8 +158,8 @@ class kary_tree
   // reachable tree, so nothing is freed twice. Caller contract (same
   // as every tree here): all guards are destroyed and no concurrent
   // operation is in flight when the destructor runs —
-  // tests/multiway/kary_hazard_test.cpp pins this with canary nodes
-  // left pending at destruction under epoch and hazard.
+  // tests/multiway/kary_teardown_test.cpp pins this with canary nodes
+  // left pending at destruction.
   ~kary_tree() {
     destroy_reachable(root_);
     reclaimer_.drain_all_unsafe();
@@ -370,13 +360,7 @@ class kary_tree
   // --- seek ---------------------------------------------------------------
 
   void seek(const Key& key, search_result& s) const {
-    if constexpr (validated) {
-      // The root is immortal, so restarting from it is always safe.
-      while (!seek_protected_from(root_, toward(key), s, 0)) {
-      }
-    } else {
-      search_from(root_, key, s);
-    }
+    search_from(root_, key, s);
   }
 
   /// Retry seek after a failed CAS. Under restart::from_anchor, resume
@@ -401,10 +385,8 @@ class kary_tree
   bool try_resume(const Key& key, search_result& s) const {
     node* anchor = s.grandparent != nullptr ? s.grandparent : s.parent;
     if (anchor == nullptr) return false;
-    // Under hazard the anchor is still announced in its descent slot
-    // (the guard has not been destroyed between attempts); under
-    // epoch/leaky the pin keeps it dereferenceable. seq_cst so the
-    // mark test orders after whatever CAS failure sent us here.
+    // The pin keeps the anchor dereferenceable. seq_cst so the mark
+    // test orders after whatever CAS failure sent us here.
     if (update_state(anchor->update.load(std::memory_order_seq_cst)) ==
         state::mark) {
       return false;
@@ -413,15 +395,11 @@ class kary_tree
     // root-relative depth (captured before seek resets `s`) so on_seek
     // reports the full path length, not the post-anchor tail.
     const std::uint64_t base_depth = s.anchor_depth;
-    if constexpr (validated) {
-      return seek_protected_from(anchor, toward(key), s, base_depth);
-    } else {
-      search_from(anchor, key, s, base_depth);
-      return true;
-    }
+    search_from(anchor, key, s, base_depth);
+    return true;
   }
 
-  /// Plain descent (epoch/leaky): the pin keeps every node
+  /// Descent from `start` to a leaf: the pin keeps every node
   /// dereferenceable; stale results are caught by the CAS protocol.
   void search_from(node* start, const Key& key, search_result& s,
                    std::uint64_t base_depth = 0) const {
@@ -457,174 +435,26 @@ class kary_tree
     }
   }
 
-  /// Key routing for the validated descent.
-  auto toward(const Key& key) const {
-    return [this, &key](const node* n) { return child_index_for(n, key); };
-  }
-
-  /// One validated-descent attempt (hazard) — the only one this tree
-  /// has: key seeks, anchored retries and scan rounds run it. Steps
-  /// from `start` through the child `route(node)` picks at each
-  /// internal node until a leaf is reached. Returns false when a
-  /// validation fails; the caller restarts from a safe node. A
-  /// `base_depth` marks a key seek: the landed depth, counted from it,
-  /// is reported to on_seek and the resume anchor's depth recorded.
-  /// Precondition: `start` is safe to dereference — the immortal root,
-  /// or an anchor still announced in a descent slot.
-  ///
-  /// Slot ring: each node is announced once, in the next of three
-  /// descent slots, so the live (grandparent, parent, current) window
-  /// always sits in three distinct slots and the slot a new child takes
-  /// held the great-grandparent, which nothing needs any more.
-  template <typename Route>
-  bool seek_protected_from(
-      node* start, Route&& route, search_result& s,
-      std::optional<std::uint64_t> base_depth = std::nullopt) const {
-    static constexpr unsigned ring[3] = {
-        Reclaimer::hp_ancestor, Reclaimer::hp_parent, Reclaimer::hp_leaf};
-    s = search_result{};
-    [[maybe_unused]] std::uint64_t depth = base_depth.value_or(0);
-    node* current = start;
-    unsigned slot = 0;
-    reclaimer_.domain().announce(ring[slot], current);
-    while (current->internal) {
-      if constexpr (Stats::enabled) ++depth;
-      s.grandparent = s.parent;
-      s.gpupdate = s.pupdate;
-      s.parent_index = s.child_index;
-      s.parent = current;
-      s.pupdate = current->update.load();
-      s.child_index = route(current);
-      slot = slot == 2 ? 0 : slot + 1;
-      current = protect_child(s, s.child_index, ring[slot]);
-      if (current == nullptr) return false;
-    }
-    s.leaf = current;
-    if constexpr (Stats::enabled) {
-      if (base_depth.has_value()) {
-        stats_.on_seek(depth);
-        s.anchor_depth = s.grandparent != nullptr ? depth - 2
-                         : s.parent != nullptr    ? depth - 1
-                                                  : *base_depth;
-      }
-    }
-    return true;
-  }
-
-  /// The hazard-mode child step — every validated read of a child edge
-  /// takes it: announce s.parent->children[index] in `slot`, re-read the
-  /// edge, then re-read the parent's update word. k-ary edges are never
-  /// marked, so the edge recheck alone cannot prove the child
-  /// unretired: a COALESCE freezes the parent's edges in place and
-  /// retires the children only after swinging the grandparent's edge.
-  /// The MARK on the parent precedes that swing and is terminal —
-  /// "unmarked after the announce" proves the child was not yet retired
-  /// when announced. A MARKed parent is first helped off the tree, so
-  /// the caller's restart skips it instead of spinning on it while the
-  /// coalescing eraser is descheduled (lock-freedom). Returns nullptr
-  /// when a check fails. Preconditions: s.parent and s.grandparent are
-  /// protected; s.parent_index is the parent's slot in the grandparent.
-  node* protect_child(const search_result& s, unsigned index,
-                      unsigned slot) const {
-    const child_word& source = s.parent->children[index];
-    // Discovery load: acquire suffices — the candidate is not
-    // dereferenced until the announce below is validated.
-    node* child = source.load(std::memory_order_acquire).address();
-    if constexpr (use_backoff) prefetch_ro(child);
-    reclaimer_.domain().announce(slot, child);
-    // Validating re-read: seq_cst so it cannot be reordered before the
-    // seq_cst announce store — the store-load pair guarantees a
-    // concurrent retirer's scan sees the announcement.
-    if (source.load(std::memory_order_seq_cst).address() != child) {
-      return nullptr;  // edge moved
-    }
-    const update_t u = s.parent->update.load(std::memory_order_seq_cst);
-    if (update_state(u) == state::mark) {
-      help_mark(s, u);
-      return nullptr;
-    }
-    return child;
-  }
-
   // --- helping ------------------------------------------------------------
 
-  /// Help the operation recorded in `u`, read from `owner`'s update
-  /// word. Precondition: `owner` is protected (a descent slot, or the
-  /// helper slots taken below).
-  ///
-  /// Hazard-mode info protection: announce the record in hp_flagged,
-  /// then re-read the owner's word — sound for IFLAG/DFLAG because a
-  /// record is retired only after every word holding it moved off it
-  /// (release_info). A MARK freezes the word forever, so that re-read proves
-  /// nothing; marked words are helped only through help_mark
-  /// (validated via the grandparent's edge) and skipped here — the next
-  /// descent through the marked node helps it.
-  void help(node* owner, update_t u) const {
+  /// Help the operation recorded in update word value `u`.
+  void help(update_t u) const {
     const state st = update_state(u);
     if (st == state::clean) return;
     stats_.on_help();
-    if constexpr (validated) {
-      if (st == state::mark) return;
-      auto& dom = reclaimer_.domain();
-      dom.announce(Reclaimer::hp_flagged, u.address());
-      const update_t recheck = owner->update.load(std::memory_order_seq_cst);
-      if (recheck != u) return;  // op finished; record may be retired
-      if (st == state::iflag) {
+    switch (st) {
+      case state::iflag:
         help_replace(u.address());
-      } else {
-        help_coalesce(u.address(), /*parent_protected=*/false);
-      }
-    } else {
-      switch (st) {
-        case state::iflag:
-          help_replace(u.address());
-          break;
-        case state::dflag:
-          help_coalesce(u.address(), /*parent_protected=*/false);
-          break;
-        case state::mark:
-          help_marked(u.address());
-          break;
-        case state::clean:
-          break;
-      }
+        break;
+      case state::dflag:
+        help_coalesce(u.address());
+        break;
+      case state::mark:
+        help_marked(u.address());
+        break;
+      case state::clean:
+        break;
     }
-    (void)owner;
-  }
-
-  /// Help a busy update word found during a descent, with the seek
-  /// record's protected context. The extra context lets hazard mode
-  /// help a MARK too: a marked parent always has a recorded
-  /// grandparent (the root is never a coalesce target).
-  void help_situated(const search_result& s, update_t u) const {
-    if constexpr (validated) {
-      if (update_state(u) == state::mark) {
-        help_mark(s, u);
-        return;
-      }
-    }
-    help(s.parent, u);
-  }
-
-  /// Hazard-mode helper for a MARKed parent: the frozen word cannot
-  /// validate the record, but the grandparent's edge can — the record
-  /// is released only after gp->children[parent_index] swung off the
-  /// parent, so announcing the record and then observing the edge
-  /// still addressing the parent proves the record was live at announce
-  /// time. (The parent is protected, so its address cannot be reused to
-  /// fake that observation.) Preconditions: s.grandparent and s.parent
-  /// protected by descent slots; internal nodes are never re-parented,
-  /// so the op's own grandparent field names the same node. The root is
-  /// never marked, so a marked parent always has a grandparent.
-  void help_mark(const search_result& s, update_t u) const {
-    if (s.grandparent == nullptr) return;
-    stats_.on_help();
-    info_record* op = u.address();
-    reclaimer_.domain().announce(Reclaimer::hp_flagged, op);
-    const child_ptr edge = s.grandparent->children[s.parent_index].load(
-        std::memory_order_seq_cst);
-    if (edge.address() != s.parent) return;  // already swung; op may be gone
-    help_marked(op);
   }
 
   void help_replace(info_record* op) const {
@@ -640,27 +470,9 @@ class kary_tree
   }
 
   /// Returns true if the coalesce committed (parent marked), false if
-  /// it aborted because the parent could not be marked. The initiator
-  /// passes parent_protected=true (the parent sits in a descent slot);
-  /// hazard-mode helpers protect it here via the coalesce-parent slot,
-  /// validated against the grandparent's still-DFLAGged word (the
-  /// winner unflags before retiring the parent, so "still DFLAGged
-  /// after the announce" proves the parent was not yet retired).
-  bool help_coalesce(info_record* op, bool parent_protected) const {
+  /// it aborted because the parent could not be marked.
+  bool help_coalesce(info_record* op) const {
     node* parent = op->coalesce.parent;
-    if constexpr (validated) {
-      if (!parent_protected) {
-        auto& dom = reclaimer_.domain();
-        // Slot reuse: ops never run inside scans, so the scan anchor
-        // slot is free here.
-        dom.announce(Reclaimer::hp_scan_turn_anchor, parent);
-        const update_t gcheck =
-            op->coalesce.grandparent->update.load(std::memory_order_seq_cst);
-        if (gcheck != update_t(op, /*iflag=*/false, /*dflag=*/true)) {
-          return false;  // finished or aborted; nothing left to help
-        }
-      }
-    }
     update_t expected = op->coalesce.pupdate;
     stats_.on_cas();
     const bool marked = parent->update.compare_exchange(
@@ -671,34 +483,13 @@ class kary_tree
       return true;
     }
     // The parent is busy with another operation. Help it, then abort
-    // our coalesce by unflagging the grandparent. Under hazard the
-    // inner help is restricted to IFLAG obstructions (the only slot
-    // left is the scan successor slot). A DFLAG obstruction names a
-    // coalesce one level down, which the retrying seek meets and helps
-    // on its own path; a MARK is finished by the child step of the
-    // next descent through the parent.
-    if constexpr (validated) {
-      help_iflag_obstruction(parent, expected);
-    } else {
-      help(parent, expected);
-    }
+    // our coalesce by unflagging the grandparent.
+    help(expected);
     update_t gexp(op, /*iflag=*/false, /*dflag=*/true);
     stats_.on_cas();
     op->coalesce.grandparent->update.compare_exchange(
         gexp, update_t(op, false, false));
     return false;
-  }
-
-  /// Hazard-mode bounded inner help: only IFLAG obstructions, with the
-  /// record validated by re-reading the (protected) owner's word.
-  void help_iflag_obstruction(node* owner, update_t u) const {
-    if (update_state(u) != state::iflag) return;
-    auto& dom = reclaimer_.domain();
-    dom.announce(Reclaimer::hp_scan_turn_successor, u.address());
-    const update_t recheck = owner->update.load(std::memory_order_seq_cst);
-    if (recheck != u) return;
-    stats_.on_help();
-    help_replace(u.address());
   }
 
   void help_marked(info_record* op) const {
@@ -723,7 +514,7 @@ class kary_tree
     for (;;) {
       if (leaf_contains(s.leaf, key)) return false;
       if (update_state(s.pupdate) != state::clean) {
-        help_situated(s, s.pupdate);
+        help(s.pupdate);
         stats_.on_seek_restart(stats::restart_kind::cleanup_mode);
         if constexpr (use_backoff) delay();
         seek_retry(key, s);
@@ -750,7 +541,7 @@ class kary_tree
       }
       destroy_replacement(replacement);
       destroy_info(op);
-      help(s.parent, expected);
+      help(expected);
       stats_.on_seek_restart(stats::restart_kind::injection_fail);
       if constexpr (use_backoff) delay();
       seek_retry(key, s);
@@ -765,7 +556,7 @@ class kary_tree
     for (;;) {
       if (!leaf_contains(s.leaf, key)) return false;
       if (update_state(s.pupdate) != state::clean) {
-        help_situated(s, s.pupdate);
+        help(s.pupdate);
         stats_.on_seek_restart(stats::restart_kind::cleanup_mode);
         if constexpr (use_backoff) delay();
         seek_retry(key, s);
@@ -776,10 +567,8 @@ class kary_tree
       // grandparent with a clean update word and all of the parent's
       // children to be leaves whose surviving keys fit in one leaf. A
       // busy grandparent does not block the erase: fall back to
-      // REPLACE and let collapse_upward prune later — under hazard
-      // there is no protected great-grandparent to help a gp-mark
-      // with, and under every policy the fallback is simpler than
-      // helping and retrying.
+      // REPLACE and let collapse_upward prune later; the fallback is
+      // simpler than helping and retrying.
       std::array<node*, K> siblings{};
       std::array<Key, K> union_keys{};
       unsigned union_count = 0;
@@ -791,7 +580,7 @@ class kary_tree
       if (!coalesce) {
         node* replacement = make_leaf_with(s.leaf, nullptr, &key);
         // Read while the leaf is still private: once published, another
-        // thread may replace, retire and free it (hazard reclamation).
+        // thread may replace and retire it.
         const bool emptied = (replacement->key_count == 0);
         info_record* op = make_info();
         op->replace = {s.parent, s.leaf, replacement, s.child_index};
@@ -811,7 +600,7 @@ class kary_tree
         }
         destroy_node(replacement);
         destroy_info(op);
-        help(s.parent, expected);
+        help(expected);
         stats_.on_seek_restart(stats::restart_kind::injection_fail);
         if constexpr (use_backoff) delay();
         seek_retry(key, s);
@@ -829,7 +618,7 @@ class kary_tree
       if (s.grandparent->update.compare_exchange(
               expected, update_t(op, /*iflag=*/false, /*dflag=*/true))) {
         release_info(s.gpupdate.address());
-        const bool committed = help_coalesce(op, /*parent_protected=*/true);
+        const bool committed = help_coalesce(op);
         release_info(op);  // the MARK reference: spliced out, or unused
         if (committed) {
           if constexpr (Reclaimer::reclaims_eagerly) {
@@ -846,7 +635,7 @@ class kary_tree
       } else {
         destroy_node(union_leaf);
         destroy_info(op);
-        help(s.grandparent, expected);
+        help(expected);
       }
       stats_.on_seek_restart(stats::restart_kind::injection_fail);
       if constexpr (use_backoff) delay();
@@ -857,30 +646,20 @@ class kary_tree
   /// Read the parent's K children and collect their keys (minus
   /// `removed` when non-null) into `buf`, bounded by leaf_capacity.
   /// Returns false when the parent is not coalescible: a non-leaf or
-  /// null child, too many surviving keys, a failed hazard validation,
-  /// or (when `removed` is set) the searched leaf no longer being
-  /// child s.child_index — a concurrent replace swapped it, making the
-  /// union size wrong; the caller's REPLACE/retry covers that case.
-  ///
-  /// Hazard mode protects each sibling for the duration of its copy
-  /// through the shared child step, announced in the scan successor
-  /// slot (free — ops never run inside scans). The sibling pointers
-  /// returned in `siblings` are used afterward only for the identity
-  /// test and as retire arguments, never dereferenced again; logical
-  /// staleness of the whole read is caught by the MARK CAS, whose
-  /// expected value is the full pupdate word from the descent.
+  /// null child, too many surviving keys, or (when `removed` is set)
+  /// the searched leaf no longer being child s.child_index — a
+  /// concurrent replace swapped it, making the union size wrong; the
+  /// caller's REPLACE/retry covers that case. Logical staleness of the
+  /// whole read is caught by the MARK CAS, whose expected value is the
+  /// full pupdate word from the descent.
   bool gather_children(const search_result& s, const Key* removed,
                        std::array<node*, K>& siblings,
                        std::array<Key, K>& buf, unsigned& count) const {
     count = 0;
     [[maybe_unused]] unsigned total = 0;
     for (unsigned i = 0; i < K; ++i) {
-      node* sib;
-      if constexpr (validated) {
-        sib = protect_child(s, i, Reclaimer::hp_scan_turn_successor);
-      } else {
-        sib = s.parent->children[i].load(std::memory_order_acquire).address();
-      }
+      node* sib =
+          s.parent->children[i].load(std::memory_order_acquire).address();
       if (sib == nullptr || sib->internal) return false;
       for (unsigned j = 0; j < sib->key_count; ++j) {
         const Key& k = sib->keys[j];
@@ -930,7 +709,7 @@ class kary_tree
         return;
       }
       release_info(s.gpupdate.address());
-      const bool committed = help_coalesce(op, /*parent_protected=*/true);
+      const bool committed = help_coalesce(op);
       release_info(op);  // the MARK reference: spliced out, or unused
       if (!committed) {
         destroy_node(union_leaf);
@@ -986,34 +765,6 @@ class kary_tree
         stack.push_back(c);
       }
     }
-  }
-
-  /// Hazard scan round: one cursor-routed validated descent, tracking
-  /// `bound` = the tightest routing key greater than the cursor seen on
-  /// the way down (the chosen child's upper interval end; deeper nodes
-  /// only tighten it). Emits the reached leaf's keys; the next round
-  /// starts at `bound`, inclusive — strictly above the cursor, since
-  /// the routing key at the chosen slot exceeds it by definition. No
-  /// bound means the descent ran down the right spine: nothing lies
-  /// above.
-  template <typename Emit>
-  scan_step<Key> scan_round(const Key* cursor, bool /*inclusive*/,
-                            Emit& emit) const {
-    std::optional<Key> bound;
-    const auto toward_cursor = [&](const node* n) {
-      const unsigned index =
-          cursor == nullptr ? 0 : child_index_for(n, *cursor);
-      // child_index_for counts keys <= cursor, so keys[index] (when it
-      // exists) is the first routing key strictly above the cursor.
-      if (!n->routes_infinite && index < n->key_count) bound = n->keys[index];
-      return index;
-    };
-    search_result s;
-    if (!seek_protected_from(root_, toward_cursor, s)) return {};
-    for (unsigned i = 0; i < s.leaf->key_count; ++i) {
-      if (!emit(s.leaf->keys[i])) break;
-    }
-    return {.validated = true, .next = bound, .next_inclusive = true};
   }
 
   // --- node construction ---------------------------------------------------
@@ -1144,9 +895,8 @@ class kary_tree
   /// record is released by the CAS that moves a word off it (flag or
   /// MARK), and a COALESCE's MARK reference by the end of its attempt.
   /// The initiator also holds a reference while it helps its own
-  /// record: under hazard pointers it does not announce that record,
-  /// and another thread may move the word off it meanwhile. (A
-  /// COALESCE's MARK reference already covers its initiator.)
+  /// record. (A COALESCE's MARK reference already covers its
+  /// initiator.)
   void release_info(info_record* op) const {
     if constexpr (Reclaimer::reclaims_eagerly) {
       if (op != nullptr &&

@@ -5,8 +5,8 @@
 // can be derived using the well-known notion of hazard pointers [26]").
 // This header provides the substrate as a standalone, fully tested
 // domain. reclaim::hazard (reclaim/hazard_reclaimer.hpp) plugs it into
-// nm_tree and kary_tree, whose seeks add validated re-reads at each
-// traversal step — the recipe at the bottom of this file. The domain
+// nm_tree, whose seek adds validated re-reads at each traversal step —
+// the recipe at the bottom of this file. The domain
 // itself is exercised by the hazard-pointer unit tests and the
 // Treiber-stack validation harness in tests/reclaim/.
 //

@@ -16,7 +16,7 @@
 // ordered scans add two slots for the successor-query anchor snapshot
 // and reuse the flagged-leaf slot — a thread runs one operation at a
 // time and only erase uses hp_flagged — for the scan's deepest-left-turn
-// node; kary_tree operations borrow those two extra slots (see below).
+// node.
 //
 // Trade-off vs epoch: bounded garbage (at most slots x threads retired
 // nodes are ever held back) at the price of one seq_cst store + one
@@ -24,8 +24,8 @@
 // quantifies it.
 //
 // `requires_validated_traversal = true` makes non-cooperating trees
-// (EFRB/HJ/BCCO, whose traversals do not validate) reject this policy at
-// compile time.
+// (EFRB/HJ/BCCO and the k-ary tree, whose traversals do not validate)
+// reject this policy at compile time.
 #pragma once
 
 #include <cstddef>
@@ -57,11 +57,6 @@ class hazard {
   /// snapshot (the last untagged edge above the turn, used to resume
   /// validation after the turn is reached) needs two slots of its own so
   /// the pair stays protected across the phase-2 min-leaf descent.
-  /// kary_tree's scans need none of the three; its operations borrow
-  /// slots 6 and 7, which are free because no scan runs inside an
-  /// operation: help_coalesce protects a coalesce's parent in 6,
-  /// gather_children a sibling and help_iflag_obstruction an IFLAG
-  /// record in 7.
   static constexpr unsigned hp_scan_turn = hp_flagged;
   static constexpr unsigned hp_scan_turn_anchor = 6;
   static constexpr unsigned hp_scan_turn_successor = 7;

@@ -111,11 +111,6 @@ TEST_P(PropertySweep, KaryTreeWideFanoutMatchesOracle) {
   run_sweep(t, GetParam(), 30'000);
 }
 
-TEST_P(PropertySweep, KaryTreeHazardMatchesOracle) {
-  kary_tree<long, 8, std::less<long>, reclaim::hazard> t;
-  run_sweep(t, GetParam(), 30'000);
-}
-
 TEST_P(PropertySweep, KaryTreeFromRootMatchesOracle) {
   kary_tree<long, 16, std::less<long>, reclaim::epoch, stats::none,
             atomics::native, restart::from_root>

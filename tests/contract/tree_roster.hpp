@@ -1,10 +1,11 @@
 // The typed-test roster: every tree the contract and stress suites are
 // instantiated for, each paired with the suffix its suite names carry
-// (SetContract/NM_BST_0, ConcurrentStress/KST_13, ...). The suffix
+// (SetContract/NM_BST_0, ConcurrentStress/KST_14, ...). The suffix
 // belongs to the entry, not to its position in the list, so removing a
 // tree renames no other suite. Suffixes 5 and 6 (a removed lock-based
-// tree, DESIGN.md §8.1) and 8 (the CAS-only tagging variant, §8.2) are
-// retired; never reuse a retired suffix.
+// tree, DESIGN.md §8.1), 8 (the CAS-only tagging variant, §8.2), and 12
+// and 13 (the k-ary tree under hazard pointers, §8.4) are retired;
+// never reuse a retired suffix.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -82,10 +83,9 @@ using tree_roster = typed_roster<
     // multiway k-ary tree, across its policy axes
     roster_entry<kary_tree<long, 4>, 10>,
     roster_entry<kary_tree<long, 8, std::less<long>, reclaim::epoch>, 11>,
-    roster_entry<kary_tree<long, 8, std::less<long>, reclaim::hazard>, 12>,
-    roster_entry<kary_tree<long, 16, std::less<long>, reclaim::hazard,
+    roster_entry<kary_tree<long, 16, std::less<long>, reclaim::epoch,
                            stats::none, atomics::native, restart::from_root>,
-                 13>>;
+                 14>>;
 
 static_assert(tree_roster::well_formed());
 

@@ -14,7 +14,6 @@
 // in-leaf REPLACE/REPLACE race on a shared non-full leaf.
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -22,8 +21,6 @@
 #include "dsched/atomics.hpp"
 #include "dsched/harness.hpp"
 #include "multiway/kary_tree.hpp"
-#include "obs/metrics.hpp"
-#include "reclaim/hazard_reclaimer.hpp"
 
 namespace lfbst {
 namespace {
@@ -276,59 +273,6 @@ TEST(KaryDschedScenarios, ScanRacingCoalesceDfs) {
   const auto sum = dsched::explore_dfs(sc, dsched::scaled_budget(2048));
   EXPECT_TRUE(sum.all_ok()) << sum.first_failure;
   EXPECT_GE(sum.executions, 1000u);
-}
-
-// The SPROUT race again under reclaim::hazard, where the scan is a
-// chain of validated per-leaf descents. The sweep must restart some
-// scan round, so it cannot pass without exercising the restart path.
-using sched_kary_hazard_rec =
-    kary_tree<int, 2, std::less<int>, reclaim::hazard, obs::recording,
-              dsched::sched_atomics>;
-
-TEST(KaryDschedScenarios, ScanRacingSproutHazardDfs) {
-  auto sc = make_scenario<sched_kary_hazard_rec>(
-      /*setup=*/{2},
-      /*threads=*/{{{'i', 1}}},
-      /*universe=*/{1, 2, 3});
-  sc.threads.push_back(scan_script<sched_kary_hazard_rec>(1, 4, 2));
-  std::uint64_t restarts = 0;
-  sc.on_terminal = [&restarts](sched_kary_hazard_rec& t) {
-    restarts += t.stats().counters().snapshot()[obs::counter::scan_restarts];
-  };
-  const auto sum = dsched::explore_dfs(sc, dsched::scaled_budget(2048));
-  EXPECT_TRUE(sum.all_ok()) << sum.first_failure;
-  EXPECT_GT(restarts, 0u);
-}
-
-// Lock-freedom under hazard: PCT seed 61 (the first of each sweep)
-// parks the coalescing erase(3) between its MARK CAS and the
-// grandparent swing. A descent that meets the MARKed parent must finish
-// the swing itself; restarting from the root instead spins until the
-// scheduler's step budget runs out.
-template <typename Tree>
-dsched::scenario<Tree> erase_vs_reader_scenario(
-    typename dsched::scenario<Tree>::script reader) {
-  auto sc = make_scenario<Tree>(/*setup=*/{1, 3},
-                                /*threads=*/{{{'e', 3}}},
-                                /*universe=*/{0, 1, 2, 3});
-  sc.threads.push_back(std::move(reader));
-  return sc;
-}
-
-TEST(KaryDschedScenarios, ScanHelpsParkedCoalesceHazardPct) {
-  auto sc = erase_vs_reader_scenario<sched_kary_hazard_rec>(
-      scan_script<sched_kary_hazard_rec>(0, 4, 2));
-  const auto sum = dsched::explore_pct(sc, 61, dsched::scaled_budget(200),
-                                       /*depth=*/4);
-  EXPECT_TRUE(sum.all_ok()) << sum.first_failure;
-}
-
-TEST(KaryDschedScenarios, ContainsHelpsParkedCoalesceHazardPct) {
-  auto sc = erase_vs_reader_scenario<sched_kary_hazard_rec>(
-      op_script<sched_kary_hazard_rec>({{'c', 1}, {'c', 1}}));
-  const auto sum = dsched::explore_pct(sc, 61, dsched::scaled_budget(200),
-                                       /*depth=*/4);
-  EXPECT_TRUE(sum.all_ok()) << sum.first_failure;
 }
 
 // --------------------------------------------------------------------

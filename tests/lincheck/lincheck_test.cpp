@@ -205,10 +205,5 @@ TEST(LincheckTrees, KaryTreeWideHistoriesAreLinearizable) {
   run_recorded_histories<kary_tree<long, 8>>(200);
 }
 
-TEST(LincheckTrees, KaryTreeHazardHistoriesAreLinearizable) {
-  run_recorded_histories<
-      kary_tree<long, 8, std::less<long>, reclaim::hazard>>(200);
-}
-
 }  // namespace
 }  // namespace lfbst

@@ -1,6 +1,6 @@
 // Concurrent ordered scans over the multiway k-ary tree: the same
 // conservative-interval contract as nm_tree (tests/core/nm_scan_test),
-// checked across reclaimers, restart policies, and fanouts. The bounded
+// checked across reclaimers and fanouts. The bounded
 // page form is covered for both trees by tests/core/ordered_scan_test.
 // Scan parity is what lets kary ride the shared contract and sharding
 // layers with no carve-outs.
@@ -19,18 +19,12 @@
 #include "common/rng.hpp"
 #include "obs/metrics.hpp"
 #include "reclaim/epoch.hpp"
-#include "reclaim/hazard_reclaimer.hpp"
 
 namespace lfbst {
 namespace {
 
 using leaky_tree = kary_tree<long, 8>;
 using epoch_tree = kary_tree<long, 8, std::less<long>, reclaim::epoch>;
-using hazard_tree = kary_tree<long, 8, std::less<long>, reclaim::hazard>;
-using hazard_wide_tree = kary_tree<long, 16, std::less<long>, reclaim::hazard>;
-using hazard_root_tree =
-    kary_tree<long, 8, std::less<long>, reclaim::hazard, stats::none,
-              atomics::native, restart::from_root>;
 using binary_tree = kary_tree<long, 2>;  // degenerate fanout: 1-key leaves
 
 std::vector<long> sorted_keys(const std::set<long>& reference, long lo,
@@ -77,17 +71,15 @@ void expect_scan_matches_reference() {
 TEST(KaryScan, EmptyTreeScansAreEmpty) {
   leaky_tree a;
   epoch_tree b;
-  hazard_tree c;
   EXPECT_TRUE(a.range_scan(0, 100).empty());
   EXPECT_TRUE(b.range_scan_closed(0, 100).empty());
-  EXPECT_TRUE(c.range_scan(0, 100).empty());
   std::size_t visits = 0;
-  c.for_each([&visits](const long&) { ++visits; });
+  b.for_each([&visits](const long&) { ++visits; });
   EXPECT_EQ(visits, 0u);
 }
 
 TEST(KaryScan, HalfOpenBoundsSemantics) {
-  hazard_tree t;
+  epoch_tree t;
   for (long k = 0; k <= 10; ++k) t.insert(k);
   EXPECT_EQ(t.range_scan(3, 7), (std::vector<long>{3, 4, 5, 6}));
   EXPECT_TRUE(t.range_scan(5, 5).empty());   // empty interval
@@ -108,7 +100,7 @@ TEST(KaryScan, ClosedBoundsSemantics) {
 // representable key; the closed form exists exactly for that.
 TEST(KaryScan, ClosedFormReachesDomainMax) {
   constexpr long kMax = std::numeric_limits<long>::max();
-  hazard_tree t;
+  epoch_tree t;
   t.insert(kMax);
   t.insert(kMax - 1);
   t.insert(0);
@@ -126,15 +118,6 @@ TEST(KaryScan, MatchesReferenceUnderChurnLeaky) {
 TEST(KaryScan, MatchesReferenceUnderChurnEpoch) {
   expect_scan_matches_reference<epoch_tree>();
 }
-TEST(KaryScan, MatchesReferenceUnderChurnHazard) {
-  expect_scan_matches_reference<hazard_tree>();
-}
-TEST(KaryScan, MatchesReferenceUnderChurnHazardWideFanout) {
-  expect_scan_matches_reference<hazard_wide_tree>();
-}
-TEST(KaryScan, MatchesReferenceUnderChurnHazardFromRoot) {
-  expect_scan_matches_reference<hazard_root_tree>();
-}
 TEST(KaryScan, MatchesReferenceUnderChurnBinaryFanout) {
   expect_scan_matches_reference<binary_tree>();
 }
@@ -149,7 +132,7 @@ TEST(KaryScan, RecordingMetricsAttributeScans) {
     EXPECT_EQ(s[obs::counter::scan_restarts], 0u);
   };
   {
-    kary_tree<long, 8, std::less<long>, reclaim::hazard, obs::recording> t;
+    kary_tree<long, 8, std::less<long>, reclaim::leaky, obs::recording> t;
     for (long k = 0; k < 30; ++k) t.insert(k);
     EXPECT_EQ(t.range_scan_closed(0, 29).size(), 30u);
     expect_scans(t.stats().counters().snapshot(), 1, 30);
@@ -249,21 +232,12 @@ void run_partition_scan_test() {
 TEST(KaryScanConcurrent, PartitionContractEpoch) {
   run_partition_scan_test<epoch_tree>();
 }
-TEST(KaryScanConcurrent, PartitionContractHazard) {
-  run_partition_scan_test<hazard_tree>();
-}
-TEST(KaryScanConcurrent, PartitionContractHazardWideFanout) {
-  run_partition_scan_test<hazard_wide_tree>();
-}
-TEST(KaryScanConcurrent, PartitionContractHazardFromRoot) {
-  run_partition_scan_test<hazard_root_tree>();
-}
 
 // for_each racing writers: full-domain scans stay sorted and observe
 // every STABLE key even while the churn keys flicker.
-TEST(KaryScanConcurrent, ForEachUnderChurnHazard) {
+TEST(KaryScanConcurrent, ForEachUnderChurnEpoch) {
   constexpr long kRange = 256;
-  hazard_tree t;
+  epoch_tree t;
   for (long k = 0; k < kRange; k += 2) t.insert(k);  // STABLE: even keys
   std::atomic<bool> stop{false};
   std::thread writer([&t, &stop] {

@@ -222,11 +222,10 @@ def check_restart_policy(current, slack):
 
 # Hazard scans run two validated root descents per emitted key, so on a
 # balanced 4096-key tree they emit a fixed fraction of the epoch twin's
-# keys/s: ~0.01 for NM-BST and ~0.09 for KST (8-wide leaves, shallower
-# descents). On the O(n) spine an ascending prefill builds, each descent
-# walks the spine and the ratio falls to ~1e-4 (NM-BST) and ~0.003 (KST),
-# 20x and 5x below these floors.
-SCAN_HAZARD_FLOOR = {"NM-BST": 0.002, "KST": 0.02}
+# keys/s: ~0.01 for NM-BST. On the O(n) spine an ascending prefill builds,
+# each descent walks the spine and the ratio falls to ~1e-4, 20x below
+# this floor.
+SCAN_HAZARD_FLOOR = {"NM-BST": 0.002}
 
 
 def check_scan(current):
