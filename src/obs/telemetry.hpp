@@ -27,10 +27,11 @@
 //     the request is one atomic store, safe from a signal handler).
 //
 // Set must look like shard::sharded_set over obs::recording trees:
-// shard_count(), shard_counters(i), merged_latency_histogram(kind),
-// merged_seek_depth_histogram(). See docs/TELEMETRY.md for the window
-// semantics and the Prometheus name table rendered by
-// prometheus_text().
+// shard_count(), shard_counters(i), shard(i) (a tree with
+// footprint_bytes() and reclaimer_pending()),
+// merged_latency_histogram(kind), merged_seek_depth_histogram(). See
+// docs/TELEMETRY.md for the window semantics and the Prometheus name
+// table rendered by prometheus_text().
 #pragma once
 
 #include <array>
@@ -297,6 +298,20 @@ class sampler {
              "counter");
     for (std::size_t i = 0; i < shards; ++i) {
       w.sample("lfbst_shard_ops_total", shard_label(i), shard_total[i]);
+    }
+
+    w.family("lfbst_shard_pool_bytes",
+             "Bytes of node slabs a shard's tree holds (footprint_bytes).",
+             "gauge");
+    for (std::size_t i = 0; i < shards; ++i) {
+      w.sample("lfbst_shard_pool_bytes", shard_label(i),
+               static_cast<std::uint64_t>(set_->shard(i).footprint_bytes()));
+    }
+    w.family("lfbst_shard_reclaim_pending",
+             "Nodes a shard's tree has retired and not yet freed.", "gauge");
+    for (std::size_t i = 0; i < shards; ++i) {
+      w.sample("lfbst_shard_reclaim_pending", shard_label(i),
+               static_cast<std::uint64_t>(set_->shard(i).reclaimer_pending()));
     }
 
     w.family("lfbst_windows_published_total",

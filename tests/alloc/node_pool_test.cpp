@@ -1,8 +1,9 @@
 // Unit tests for the slab node pool and the slab arena under it:
 // alignment (the NM tree steals three pointer bits, so < 8-byte alignment
 // would corrupt edges; k-ary nodes need 64), reuse, cross-thread
-// deallocate, footprint accounting, slab reuse across pool lifetimes,
-// huge-page advice and ASan poisoning of destroyed pools.
+// deallocate and reuse of its frees, footprint accounting, slab reuse
+// across pool lifetimes, huge-page advice and ASan poisoning of cached
+// blocks and destroyed pools.
 #include "alloc/node_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -77,6 +78,51 @@ TEST(NodePool, CrossThreadDeallocateIsSafe) {
   });
   freer.join();
   SUCCEED();
+}
+
+TEST(NodePool, CrossThreadFreesAreReused) {
+  // Thread A allocates, thread B frees everything, then A allocates the
+  // same number again: B's list keeps at most its cap and hands the rest
+  // to the central stack, where A finds them before any new slab.
+  constexpr int kBlocks = 100'000;
+  node_pool pool(32);
+  std::vector<void*> blocks;
+  std::size_t first = 0, second = 0;
+  std::thread a([&] {
+    for (int i = 0; i < kBlocks; ++i) blocks.push_back(pool.allocate(32));
+    first = pool.footprint_bytes();
+    std::thread b([&] {
+      for (void* p : blocks) pool.deallocate(p);
+    });
+    b.join();
+    for (int i = 0; i < kBlocks; ++i) blocks[i] = pool.allocate(32);
+    second = pool.footprint_bytes();
+  });
+  a.join();
+  EXPECT_EQ(second, first);
+  EXPECT_EQ(std::set<void*>(blocks.begin(), blocks.end()).size(),
+            static_cast<std::size_t>(kBlocks));
+}
+
+TEST(NodePool, BlocksAreLiveCachedOrUnbumped) {
+  // Every block of the held slabs is handed out, cached on a free list
+  // (a thread's or the central stack) or never used.
+  node_pool pool(24, slab_arena::page_bytes, /*alignment=*/8);
+  std::vector<void*> live;
+  for (int i = 0; i < 5000; ++i) live.push_back(pool.allocate(24));
+  std::thread freer([&] {
+    for (std::size_t i = 0; i < live.size(); i += 3) pool.deallocate(live[i]);
+  });
+  freer.join();
+  std::size_t freed = 0;
+  for (std::size_t i = 0; i < live.size(); i += 3, ++freed) live[i] = nullptr;
+  EXPECT_EQ(pool.cached_blocks(), freed);
+  const std::size_t held = live.size() - freed;
+  EXPECT_EQ(pool.footprint_bytes() / pool.block_size(),
+            held + pool.cached_blocks() + pool.unbumped_blocks());
+  for (int i = 0; i < 100; ++i) live.push_back(pool.allocate(24));
+  EXPECT_EQ(pool.footprint_bytes() / pool.block_size(),
+            held + 100 + pool.cached_blocks() + pool.unbumped_blocks());
 }
 
 TEST(NodePool, ConcurrentAllocationProducesDistinctBlocks) {
@@ -255,6 +301,34 @@ TEST(NodePool, DestroyedPoolsBlocksArePoisoned) {
   node_pool next(64);
   void* reused = next.allocate(64);
   EXPECT_FALSE(__asan_address_is_poisoned(reused));
+}
+
+TEST(NodePool, CachedBlocksArePoisoned) {
+  node_pool pool(64);
+  void* block = pool.allocate(64);
+  EXPECT_FALSE(__asan_address_is_poisoned(block));
+  pool.deallocate(block);
+  // The whole block, link word included, faults while it is cached.
+  EXPECT_EQ(__asan_region_is_poisoned(block, 64), block);
+  EXPECT_EQ(pool.allocate(64), block);
+  EXPECT_EQ(__asan_region_is_poisoned(block, 64), nullptr);
+  // A batch that moves through the central stack stays poisoned too.
+  std::vector<void*> blocks;
+  for (std::size_t i = 0; i <= 3 * node_pool::batch_blocks; ++i) {
+    blocks.push_back(pool.allocate(64));
+  }
+  std::thread freer([&] {
+    for (void* p : blocks) pool.deallocate(p);
+  });
+  freer.join();
+  for (void* p : blocks) {
+    EXPECT_EQ(__asan_region_is_poisoned(p, 64), p);
+  }
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    void* p = pool.allocate(64);
+    EXPECT_EQ(__asan_region_is_poisoned(p, 64), nullptr);
+    std::memset(p, 0x5A, 64);
+  }
 }
 #endif
 

@@ -160,6 +160,25 @@ struct nm_tree_test_access {
     return {t.leaf_pool_.block_size(), t.internal_pool_.block_size()};
   }
 
+  /// The leaf pool and the internal-node pool.
+  template <typename Tree>
+  static std::pair<const node_pool*, const node_pool*> pools(const Tree& t) {
+    return {&t.leaf_pool_, &t.internal_pool_};
+  }
+
+  /// Frees every retired node now. Caller guarantees quiescence.
+  template <typename Tree>
+  static void drain_reclaimer(Tree& t) {
+    t.reclaimer_.drain_all_unsafe();
+  }
+
+  /// Sum over threads of each thread's most retired-but-unfreed nodes
+  /// (an epoch-reclaimed tree's backlog bound).
+  template <typename Tree>
+  static std::size_t reclaimer_high_water(const Tree& t) {
+    return t.reclaimer_.pending_high_water();
+  }
+
   /// Count of reachable nodes (internal + leaves, sentinels included).
   template <typename Tree>
   static std::size_t reachable_node_count(const Tree& t) {

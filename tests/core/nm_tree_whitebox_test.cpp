@@ -4,6 +4,7 @@
 // test-access hooks rather than hoping a scheduler interleaves just so.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <numeric>
@@ -13,6 +14,7 @@
 
 #include "alloc/slab_arena.hpp"
 #include "common/rng.hpp"
+#include "core/key_scramble.hpp"
 #include "core/natarajan_tree.hpp"
 #include "core/nm_map.hpp"
 #include "nm_test_access.hpp"
@@ -383,6 +385,99 @@ TEST(NmTreeMemory, SlackIsAtMostOnePagePerPoolAndThread) {
     EXPECT_LE(t->footprint_bytes(), live + slack)
         << "live " << live << " B, footprint " << t->footprint_bytes() << " B";
   }
+}
+
+TEST(NmTreeMemory, ProducerConsumerFootprintStaysBounded) {
+  // One thread inserts and another erases 1024-2048 keys behind it, so
+  // the epoch reclaimer frees every node on the erasing thread while only
+  // the inserting thread allocates. Without cross-thread reuse of freed
+  // blocks the footprint grows by 32 B per pair (over 30 MiB here).
+  // Keys are scramble_key(i) for ascending i: distinct, and shaped like
+  // a random tree rather than a 2048-deep spine.
+  using tree_t = nm_tree<long, std::less<long>, reclaim::epoch>;
+  constexpr long pairs = 1'000'000, lag_min = 1024, lag_max = 2048;
+  tree_t t;
+  std::atomic<long> inserted{0}, erased{0};
+  std::atomic<int> failed{0};
+  std::thread producer([&] {
+    for (long i = 0; i < pairs; ++i) {
+      while (i - erased.load(std::memory_order_acquire) >= lag_max) {
+        std::this_thread::yield();
+      }
+      if (!t.insert(scramble_key(i))) failed.fetch_add(1);
+      inserted.store(i + 1, std::memory_order_release);
+    }
+  });
+  std::thread consumer([&] {
+    for (long i = 0; i < pairs; ++i) {
+      for (long in = inserted.load(std::memory_order_acquire);
+           in - i < lag_min && in < pairs;
+           in = inserted.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+      if (!t.erase(scramble_key(i))) failed.fetch_add(1);
+      erased.store(i + 1, std::memory_order_release);
+    }
+  });
+  producer.join();
+  consumer.join();
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(t.size_slow(), 0u);
+  // A pool fetches a slab only when the fetching thread's list and run,
+  // the central stack and the open slab are all empty. Every other block
+  // is then live (at most lag_max keys, the sentinels and one insert in
+  // flight), retired and not yet freed, or cached by one of the three
+  // threads that touched the tree: a list of at most cap_batches batches
+  // plus one batch on its way to the central stack, and one run.
+  const std::size_t live = lag_max + 4;
+  const std::size_t backlog = access::reclaimer_high_water(t);
+  const std::size_t per_thread =
+      (node_pool::cap_batches + 2) * node_pool::batch_blocks;
+  const auto [leaf_pool, internal_pool] = access::pools(t);
+  for (const node_pool* pool : {leaf_pool, internal_pool}) {
+    const std::size_t bound =
+        (live + backlog + 3 * per_thread) * pool->block_size() +
+        slab_arena::page_bytes;
+    EXPECT_LE(pool->footprint_bytes(), bound)
+        << "block " << pool->block_size() << " B, backlog " << backlog;
+  }
+}
+
+TEST(NmTreeMemory, FootprintIsLiveCachedAndUnbumpedBlocks) {
+  // After churn on four threads and a drain of the reclaimer, every block
+  // of every slab is a node of the tree, cached on a free list or never
+  // used: the pool gauges add up by construction.
+  using tree_t = nm_tree<long, std::less<long>, reclaim::epoch>;
+  tree_t t;
+  std::vector<std::thread> threads;
+  for (int th = 0; th < 4; ++th) {
+    threads.emplace_back([&t, th] {
+      pcg32 rng(100 + th);
+      for (int i = 0; i < 20'000; ++i) {
+        const long k = rng.bounded(4096);
+        if (rng.bounded(2) == 0) {
+          (void)t.insert(k);
+        } else {
+          (void)t.erase(k);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  access::drain_reclaimer(t);
+  const std::size_t keys = t.size_slow();
+  // Three sentinel leaves; the two sentinel internal nodes.
+  const std::size_t live[] = {keys + 3, keys + 2};
+  const auto [leaf_pool, internal_pool] = access::pools(t);
+  const node_pool* pools[] = {leaf_pool, internal_pool};
+  for (int i = 0; i < 2; ++i) {
+    const node_pool& pool = *pools[i];
+    EXPECT_GT(pool.cached_blocks(), 0u);
+    EXPECT_EQ(pool.footprint_bytes() / pool.block_size(),
+              live[i] + pool.cached_blocks() + pool.unbumped_blocks())
+        << "block " << pool.block_size() << " B";
+  }
+  EXPECT_EQ(t.validate(), "");
 }
 
 }  // namespace

@@ -278,6 +278,38 @@ TEST(Sampler, PrometheusTextCarriesTheFamilySet) {
   }
 }
 
+/// Sum of the samples of `family` in a Prometheus text body.
+std::uint64_t sum_of(const std::string& text, const std::string& family) {
+  std::uint64_t sum = 0;
+  const std::string prefix = "\n" + family + "{";
+  for (std::size_t at = text.find(prefix); at != std::string::npos;
+       at = text.find(prefix, at + 1)) {
+    const std::size_t value = text.find("} ", at) + 2;
+    sum += std::stoull(text.substr(value, text.find('\n', value) - value));
+  }
+  return sum;
+}
+
+TEST(Sampler, PoolGaugesSumToTheShardFootprints) {
+  set_type set(4, 0, 1 << 14);
+  for (std::int64_t k = 0; k < 5000; ++k) (void)set.insert(k * 3 % 16384);
+  for (std::int64_t k = 0; k < 2000; ++k) (void)set.erase(k * 3 % 16384);
+  sampler<set_type> smp(set);
+  const std::string text = smp.prometheus_text();
+  std::uint64_t footprint = 0, pending = 0;
+  for (std::size_t i = 0; i < set.shard_count(); ++i) {
+    footprint += set.shard(i).footprint_bytes();
+    pending += set.shard(i).reclaimer_pending();
+  }
+  EXPECT_GT(footprint, 0u);
+  EXPECT_NE(text.find("# TYPE lfbst_shard_pool_bytes gauge"),
+            std::string::npos);
+  EXPECT_NE(text.find("lfbst_shard_pool_bytes{shard=\"3\"}"),
+            std::string::npos);
+  EXPECT_EQ(sum_of(text, "lfbst_shard_pool_bytes"), footprint) << text;
+  EXPECT_EQ(sum_of(text, "lfbst_shard_reclaim_pending"), pending) << text;
+}
+
 TEST(TraceLog, MinTimestampFilterCutsOldEvents) {
   trace_log log(1 << 8);
   log.emit(event_type::cas_fail, 1);

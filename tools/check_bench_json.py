@@ -45,6 +45,9 @@ STUDY_REQUIRED = {
     "server_lifetime": {"study", "scramble", "shards", "keys", "ops",
                         "p50_ns", "p99_ns", "p999_ns", "seeks", "seek_p50",
                         "seek_p99", "seek_max"},
+    "churn": {"study", "policy", "ops", "slab_kib", "pending_retire"},
+    "handoff": {"study", "policy", "pairs", "live_keys", "slab_kib",
+                "pending_retire"},
 }
 
 

@@ -31,6 +31,8 @@ REQUIRED_FAMILIES = [
     "lfbst_ops_insert_total",
     "lfbst_ops_erase_total",
     "lfbst_shard_ops_total",
+    "lfbst_shard_pool_bytes",
+    "lfbst_shard_reclaim_pending",
     "lfbst_windows_published_total",
     "lfbst_window_ops",
     "lfbst_window_ops_per_sec",
