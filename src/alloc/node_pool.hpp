@@ -99,7 +99,8 @@ class node_pool {
         blocks_per_slab_(slab_bytes / block_size_),
         open_(blocks_per_slab_) {
     LFBST_ASSERT(blocks_per_slab_ > 0, "slab must fit at least one block");
-    LFBST_ASSERT(blocks_per_slab_ + max_threads * batch_blocks <= index_mask,
+    LFBST_ASSERT(blocks_per_slab_ + (max_threads + 1) * batch_blocks <=
+                     index_mask,
                  "slab holds too many blocks for the open-slab word");
     LFBST_ASSERT((alignment & (alignment - 1)) == 0,
                  "pool alignment must be a power of two");
@@ -189,9 +190,11 @@ class node_pool {
   };
 
   // The open slab is one word, the slab's page number above the index of
-  // its next fresh block, so one fetch_add carves a run. Adds past the
-  // slab's end come at most once per thread before one of them opens a
-  // new slab, which the index bits leave room for.
+  // its next fresh block, so one fetch_add carves a run. refill() adds
+  // only to a slab it saw unspent, so while one slab is open the index
+  // stays below blocks_per_slab_ + (max_threads + 1) x batch_blocks: the
+  // last carving add, then at most one add past the end per thread. The
+  // index bits leave room for that, so an add never carries into the page.
   static constexpr unsigned index_bits = 20;
   static constexpr std::uint64_t index_mask =
       (std::uint64_t{1} << index_bits) - 1;
@@ -263,16 +266,20 @@ class node_pool {
       if (take_batch(local)) return true;
     }
     for (;;) {
-      const std::uint64_t word =
-          open_.fetch_add(batch_blocks, std::memory_order_acq_rel);
-      const std::size_t next = word & index_mask;
-      if (next < blocks_per_slab_) {
-        auto* slab =
-            reinterpret_cast<std::byte*>((word >> index_bits) << page_shift);
-        const std::size_t left = blocks_per_slab_ - next;
-        local.cursor = slab + next * block_size_;
-        local.remaining = left < batch_blocks ? left : batch_blocks;
-        return false;
+      // Add only to a slab seen unspent: the index only grows until the
+      // slab is replaced, so each thread adds past its end at most once.
+      std::uint64_t word = open_.load(std::memory_order_acquire);
+      if ((word & index_mask) < blocks_per_slab_) {
+        word = open_.fetch_add(batch_blocks, std::memory_order_acq_rel);
+        const std::size_t next = word & index_mask;
+        if (next < blocks_per_slab_) {
+          auto* slab =
+              reinterpret_cast<std::byte*>((word >> index_bits) << page_shift);
+          const std::size_t left = blocks_per_slab_ - next;
+          local.cursor = slab + next * block_size_;
+          local.remaining = left < batch_blocks ? left : batch_blocks;
+          return false;
+        }
       }
       std::lock_guard<spinlock> g(lock_);
       if (take_batch(local)) return true;
@@ -329,6 +336,8 @@ class node_pool {
   std::atomic<std::uint64_t> refill_count_{0};
 
   padded<local_state> locals_[max_threads];
+
+  friend struct node_pool_test_access;
 };
 
 }  // namespace lfbst

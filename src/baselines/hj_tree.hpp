@@ -192,7 +192,8 @@ class hj_tree {
                 expected,
                 op_t(reloc_op, /*childcas=*/false, /*relocate=*/true))) {
           release_op(sc.curr_op.address());
-          if (help_relocate(reloc_op, sc.pred, sc.pred_op, sc.curr)) {
+          if (help_relocate(reloc_op, sc.pred, sc.pred_op, sc.curr,
+                            /*owner=*/true)) {
             return true;
           }
         } else {
@@ -292,8 +293,9 @@ class hj_tree {
 
   struct relocate_state {
     static constexpr int ongoing = 0;
-    static constexpr int successful = 1;
+    static constexpr int successful = 1;  // installed on the destination
     static constexpr int failed = 2;
+    static constexpr int keyed = 3;  // successful, destination key replaced
   };
 
   struct relocate_fields {
@@ -330,6 +332,9 @@ class hj_tree {
   // after the slot was filled and emptied again: it resurrects the
   // removed node, and a concurrent insert whose record expects the
   // empty slot then fails its child CAS although it reports success.
+  // The value stays distinct only while the named leaf's address is not
+  // reused, so under eager reclamation the leaf is retired when the null
+  // naming it leaves its slot, not when the leaf is spliced out.
 
   static constexpr std::uintptr_t null_bit = 1;
 
@@ -341,6 +346,13 @@ class hj_tree {
   static node* deref(node* ref) noexcept {
     return (reinterpret_cast<std::uintptr_t>(ref) & null_bit) != 0 ? nullptr
                                                                   : ref;
+  }
+  /// The spliced leaf a null reference names; nullptr for a child or
+  /// for plain nullptr.
+  static node* named_leaf(node* ref) noexcept {
+    const auto bits = reinterpret_cast<std::uintptr_t>(ref);
+    return (bits & null_bit) != 0 ? reinterpret_cast<node*>(bits & ~null_bit)
+                                  : nullptr;
   }
 
   static bool is_marked(op_t o) noexcept { return o.flagged() && o.tagged(); }
@@ -452,65 +464,95 @@ class hj_tree {
       // that can still re-execute this record's child CAS read the
       // CHILDCAS word — and therefore pinned — before this retire, and
       // the grace period shields it from the freed node's address being
-      // reused (ABA on the child slot). Insert records never qualify:
-      // their `expected` is the null slot the new node went into.
-      if (swung && deref(op->child_cas.expected) != nullptr) {
-        node* spliced = op->child_cas.expected;
-        // A marked word never changes again, so the record it names is
-        // released with the node.
-        release_op(spliced->op.load().address());
-        reclaimer_.retire(spliced, &node_deleter, &node_pool_);
+      // reused (ABA on the child slot). The same holds for a leaf whose
+      // null an insert record overwrote: that record expects the null.
+      if (swung) {
+        node* old = op->child_cas.expected;
+        if (node* spliced = deref(old)) {
+          // A marked word never changes again, so the record it names is
+          // released with the node. Its slots are frozen too, so the
+          // leaves their nulls name can no longer be expected by a
+          // child CAS.
+          release_op(spliced->op.load().address());
+          retire_named_leaf(spliced->left.load(std::memory_order_acquire));
+          retire_named_leaf(spliced->right.load(std::memory_order_acquire));
+          // A spliced leaf lives on in the null that now names it.
+          if (op->child_cas.update != null_ref(spliced)) {
+            reclaimer_.retire(spliced, &node_deleter, &node_pool_);
+          }
+        } else {
+          retire_named_leaf(old);
+        }
       }
     }
   }
 
-  bool help_relocate(operation* op, node* pred, op_t pred_op,
-                     node* curr) const {
-    int seen = op->relocate.state.load(std::memory_order_acquire);
-    if (seen == relocate_state::ongoing) {
-      // Install the relocation on the destination (the node whose key is
-      // being removed).
-      op_t dest_expected = op->relocate.dest_op;
-      stats_.on_cas();
-      const bool installed = op->relocate.dest->op.compare_exchange(
-          dest_expected, op_t(op, /*childcas=*/false, /*relocate=*/true));
-      if (!installed) stats_.on_cas_fail();
-      if (installed) release_op(op->relocate.dest_op.address());
-      if (installed ||
-          dest_expected == op_t(op, /*childcas=*/false, /*relocate=*/true)) {
-        int expected_state = relocate_state::ongoing;
+  void retire_named_leaf(node* ref) const {
+    if (node* leaf = named_leaf(ref)) {
+      reclaimer_.retire(leaf, &node_deleter, &node_pool_);
+    }
+  }
+
+  // A RelocateOp names two things outside itself: its destination node
+  // and `dest_op`, the destination's word as the erase's find read it.
+  // The original algorithm relies on Java's garbage collector to keep
+  // both alive for every helper. Under epoch reclamation a helper that
+  // reaches the record through the successor's word may have pinned
+  // after the destination was spliced and retired, or after the record
+  // in `dest_op` was released and its address reused on the same word
+  // (ABA). Such a helper would CAS a freed node's key, or install the
+  // record again and release a record it does not hold. So:
+  //   * Only the erase that published the record (the owner, pinned
+  //     since its find read the destination and `dest_op`) installs it
+  //     on the destination. A helper that meets an ongoing relocation on
+  //     the successor fails it instead.
+  //   * The destination's reference on the record in `dest_op` is kept
+  //     until the state is decided, so a relocation that fails after it
+  //     was installed can put that word back.
+  //   * Through the successor, the destination is touched only while
+  //     the state reads `successful`: the destination is still flagged
+  //     then, so it is in the tree and was not retired before the helper
+  //     pinned. `keyed` is stored once the key is replaced, before the
+  //     destination is unflagged and can be removed.
+  // A helper that reaches the record through the destination found that
+  // node in the tree, and finishes or undoes the relocation there.
+
+  bool help_relocate(operation* op, node* pred, op_t pred_op, node* curr,
+                     bool owner = false) const {
+    relocate_fields& r = op->relocate;
+    if (r.dest == curr) return settle_dest(op) == relocate_state::keyed;
+    int seen = r.state.load(std::memory_order_acquire);
+    if (owner) {
+      bool installed = false;
+      if (seen == relocate_state::ongoing) {
+        op_t dest_expected = r.dest_op;
         stats_.on_cas();
-        op->relocate.state.compare_exchange_strong(
-            expected_state, relocate_state::successful,
-            std::memory_order_acq_rel);
-        seen = relocate_state::successful;
-      } else {
-        // The destination changed under us: the relocation fails unless
-        // someone else already marked it successful.
-        int expected_state = relocate_state::ongoing;
-        stats_.on_cas();
-        if (op->relocate.state.compare_exchange_strong(
-                expected_state, relocate_state::failed,
-                std::memory_order_acq_rel)) {
-          release_op(op);  // the destination's reference never landed
+        installed = r.dest->op.compare_exchange(
+            dest_expected, op_t(op, /*childcas=*/false, /*relocate=*/true));
+        if (!installed) {
+          stats_.on_cas_fail();
+          stats_.on_cas();
+          r.state.compare_exchange_strong(seen, relocate_state::failed,
+                                          std::memory_order_acq_rel);
+          seen = relocate_state::failed;
         }
-        seen = op->relocate.state.load(std::memory_order_acquire);
+      }
+      if (installed) {
+        seen = settle_dest(op);
+      } else {
+        release_op(op);  // the destination's reference never landed
+      }
+    } else if (seen == relocate_state::ongoing) {
+      stats_.on_cas();
+      if (r.state.compare_exchange_strong(seen, relocate_state::failed,
+                                          std::memory_order_acq_rel)) {
+        seen = relocate_state::failed;
+      } else {
+        stats_.on_cas_fail();
       }
     }
-    if (seen == relocate_state::successful) {
-      // Overwrite the destination's key with the successor's, then
-      // release the destination.
-      Key expected_key = op->relocate.remove_key;
-      stats_.on_cas();
-      op->relocate.dest->key.compare_exchange_strong(
-          expected_key, op->relocate.replace_key, std::memory_order_acq_rel);
-      op_t dest_expected(op, false, true);
-      stats_.on_cas();
-      op->relocate.dest->op.compare_exchange(dest_expected,
-                                             op_t(op, false, false));
-    }
-    const bool result = (seen == relocate_state::successful);
-    if (op->relocate.dest == curr) return result;
+    if (seen == relocate_state::successful) seen = settle_dest(op);
+    const bool result = (seen == relocate_state::keyed);
     // Release (or mark for removal) the successor node that carried the
     // RelocateOp.
     op_t curr_expected(op, false, true);
@@ -521,14 +563,46 @@ class hj_tree {
                : op_t(op, false, false)); // failed: back to NONE
     if (result) {
       op_t effective_pred_op = pred_op;
-      if (op->relocate.dest == pred) {
-        // The destination is the successor's parent; after the release
-        // above its op word is (op, NONE).
+      if (r.dest == pred) {
+        // The destination is the successor's parent; once released its
+        // op word is (op, NONE).
         effective_pred_op = op_t(op, false, false);
       }
       help_marked(pred, effective_pred_op, curr);
     }
     return result;
+  }
+
+  /// Decides a relocation that was installed on its destination, then
+  /// replaces the destination's key and releases the destination, or
+  /// puts the destination's old word back if the relocation failed.
+  /// Returns the final state (`keyed` or `failed`). The caller holds the
+  /// destination protected (see above).
+  int settle_dest(operation* op) const {
+    relocate_fields& r = op->relocate;
+    int seen = relocate_state::ongoing;
+    stats_.on_cas();
+    if (r.state.compare_exchange_strong(seen, relocate_state::successful,
+                                        std::memory_order_acq_rel)) {
+      seen = relocate_state::successful;
+      release_op(r.dest_op.address());  // the destination left it for good
+    }
+    if (seen == relocate_state::successful) {
+      Key expected_key = r.remove_key;
+      stats_.on_cas();
+      r.dest->key.compare_exchange_strong(expected_key, r.replace_key,
+                                          std::memory_order_acq_rel);
+      r.state.store(relocate_state::keyed, std::memory_order_release);
+      seen = relocate_state::keyed;
+    }
+    op_t dest_expected(op, /*childcas=*/false, /*relocate=*/true);
+    stats_.on_cas();
+    if (seen == relocate_state::keyed) {
+      r.dest->op.compare_exchange(dest_expected, op_t(op, false, false));
+    } else if (r.dest->op.compare_exchange(dest_expected, r.dest_op)) {
+      release_op(op);  // the destination holds its old record again
+    }
+    return seen;
   }
 
   void help_marked(node* pred, op_t pred_op, node* curr) const {
@@ -578,8 +652,9 @@ class hj_tree {
   /// So a record is released by the CAS that moves a word off it, or
   /// with the node whose marked word holds it; a RelocateOp's reference
   /// on its destination is reserved up front and dropped if the
-  /// relocation fails. The grace period then covers every thread that
-  /// read the old word.
+  /// relocation fails, and the record it displaces there is released
+  /// only once the relocation has succeeded. The grace period then
+  /// covers every thread that read the old word.
   void release_op(operation* op) const {
     if constexpr (Reclaimer::reclaims_eagerly) {
       if (op != nullptr &&
@@ -617,6 +692,10 @@ class hj_tree {
       }
       if (node* r = deref(n->right.load(std::memory_order_relaxed))) {
         stack.push_back(r);
+      }
+      for (node* ref : {n->left.load(std::memory_order_relaxed),
+                        n->right.load(std::memory_order_relaxed)}) {
+        if (node* leaf = named_leaf(ref)) destroy_node(leaf);
       }
       destroy_node(n);
     }

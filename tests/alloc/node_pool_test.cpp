@@ -8,9 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -18,6 +23,16 @@
 #include <vector>
 
 namespace lfbst {
+
+// Reads the index of the open slab's next fresh block, and reaches the
+// lock of the pool's central tier.
+struct node_pool_test_access {
+  static std::size_t open_index(const node_pool& pool) {
+    return pool.open_.load(std::memory_order_relaxed) & node_pool::index_mask;
+  }
+  static spinlock& lock(node_pool& pool) { return pool.lock_; }
+};
+
 namespace {
 
 TEST(NodePool, BlocksAreAtLeast16ByteAligned) {
@@ -102,6 +117,107 @@ TEST(NodePool, CrossThreadFreesAreReused) {
   EXPECT_EQ(second, first);
   EXPECT_EQ(std::set<void*>(blocks.begin(), blocks.end()).size(),
             static_cast<std::size_t>(kBlocks));
+}
+
+// Runs closures one at a time on one long-lived thread, so the pool's
+// per-thread state of that thread persists from call to call.
+class worker {
+ public:
+  worker() : thread_([this] { loop(); }) {}
+  ~worker() {
+    start([this] { stop_ = true; });
+    thread_.join();
+  }
+  /// Hands `fn` to the thread and returns at once.
+  void start(std::function<void()> fn) {
+    std::lock_guard<std::mutex> g(mu_);
+    job_ = std::move(fn);
+    cv_.notify_all();
+  }
+  /// Returns once the last started closure has run.
+  void wait() {
+    std::unique_lock<std::mutex> g(mu_);
+    cv_.wait(g, [this] { return !job_; });
+  }
+  void run(std::function<void()> fn) {
+    start(std::move(fn));
+    wait();
+  }
+
+ private:
+  void loop() {
+    while (!stop_) {
+      std::unique_lock<std::mutex> g(mu_);
+      cv_.wait(g, [this] { return static_cast<bool>(job_); });
+      g.unlock();
+      job_();
+      g.lock();
+      job_ = nullptr;
+      cv_.notify_all();
+    }
+  }
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::function<void()> job_;
+  bool stop_ = false;  // written and read by the thread only
+  std::thread thread_;
+};
+
+TEST(NodePool, RefillThatTakesALateBatchLeavesNoAddBehind) {
+  // A producer allocates and a consumer frees, over slabs of one run.
+  // Each round, with the pool's lock held, the producer runs dry while
+  // the open slab is spent and the stack empty, and then the consumer
+  // hands over a batch; on release the consumer, spinning for less time,
+  // mostly takes the lock first, so the producer's refill takes that
+  // late batch. It must not leave an add to the spent slab behind:
+  // repeated, such adds would carry the open-slab index into the slab's
+  // page number. With one refilling thread the index stays below one
+  // slab plus two runs.
+  constexpr std::size_t kBlock = 16, kBatch = node_pool::batch_blocks;
+  constexpr int kRounds = 40;
+  node_pool pool(kBlock, /*slab_bytes=*/kBlock * kBatch);
+  worker producer, consumer;
+  std::vector<void*> held;  // the producer's blocks
+  const auto allocate = [&](std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) held.push_back(pool.allocate(kBlock));
+  };
+  const auto hand_over = [&](std::size_t n) {
+    consumer.run([&, n] {
+      for (std::size_t i = 0; i < n; ++i) {
+        pool.deallocate(held.back());
+        held.pop_back();
+      }
+    });
+  };
+  // Three spent slabs; the consumer's list is one free short of its cap.
+  producer.run([&] { allocate(3 * kBatch); });
+  hand_over(node_pool::cap_batches * kBatch);
+  std::size_t max_index = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    void* last = held.back();
+    held.pop_back();
+    spinlock& lock = node_pool_test_access::lock(pool);
+    lock.lock();
+    producer.start([&] { allocate(1); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    consumer.start([&] { pool.deallocate(last); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    lock.unlock();
+    producer.wait();
+    consumer.wait();
+    max_index = std::max(max_index, node_pool_test_access::open_index(pool));
+    // The consumer kept 1 + kBatch blocks. Drain the producer's list, run
+    // and the stack, then bring the consumer back to one short of its cap.
+    const std::size_t kept = kBatch + 1;
+    producer.run([&] {
+      allocate(pool.cached_blocks() - kept + pool.unbumped_blocks());
+    });
+    ASSERT_EQ(pool.cached_blocks(), kept);
+    ASSERT_EQ(pool.unbumped_blocks(), 0u);
+    hand_over(node_pool::cap_batches * kBatch - kept);
+  }
+  EXPECT_LT(max_index, 3 * kBatch);
 }
 
 TEST(NodePool, BlocksAreLiveCachedOrUnbumped) {
